@@ -9,10 +9,11 @@ test:
 	$(GO) test ./...
 
 # Race-enabled run of the packages with concurrency (obs registry, sparse
-# solver state, charlib worker pool, cec fallback miter workers) plus the
-# rest of the tree.
+# solver state, charlib worker pool, cec fallback miter workers, the
+# per-pass reusable SAT provers of sat/aig and the mapper that runs beside
+# them) plus the rest of the tree.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/linalg/... ./internal/spice/... ./internal/charlib/... ./internal/synth/... ./internal/cec/... ./internal/qor/... ./internal/gsim/...
+	$(GO) test -race ./internal/obs/... ./internal/linalg/... ./internal/spice/... ./internal/charlib/... ./internal/synth/... ./internal/cec/... ./internal/qor/... ./internal/gsim/... ./internal/sat/... ./internal/aig/... ./internal/mapper/...
 
 # Equivalence-checker suite under the race detector (the parallel fallback
 # miter is the flow's most concurrent code path).
@@ -96,9 +97,10 @@ cost:
 paperbench:
 	$(GO) test -bench . -benchtime 1x -run xxx .
 
-# Linear-solver and op-point microbenchmarks (dense vs sparse vs refactor).
+# Layer microbenchmarks: linear solver and op point (dense vs sparse vs
+# refactor), SAT solver and AIG provers (reused encode+solve, Resub, Mfs).
 microbench:
-	$(GO) test ./internal/linalg ./internal/spice -run xxx -bench . -benchmem -benchtime 100x
+	$(GO) test ./internal/linalg ./internal/spice ./internal/sat ./internal/aig -run xxx -bench . -benchmem -benchtime 100x
 
 clean:
 	rm -rf build

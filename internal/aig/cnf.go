@@ -8,27 +8,61 @@ import "repro/internal/sat"
 // keeps proofs cheap and remains SOUND for UNSAT-based conclusions (if the
 // miter is unsatisfiable even with free cut points, it is unsatisfiable for
 // the real cone), at the cost of completeness (spurious SAT answers).
+//
+// A builder and its solver together form a prover. A pass that asks many
+// small questions of one graph owns one prover and calls Reset before each
+// query, so encoding reuses the storage of earlier queries. A prover is
+// never shared between goroutines.
 type CNFBuilder struct {
-	G      *AIG
-	S      *sat.Solver
-	Limit  int         // max AND nodes encoded; 0 = unlimited
-	varMap map[int]int // AIG variable -> SAT variable
-	nAnds  int
+	G     *AIG
+	S     *sat.Solver
+	Limit int // max AND nodes encoded; 0 = unlimited
+	// satVar maps an AIG variable to its SAT variable plus one (0 = not
+	// encoded); touched lists the mapped AIG variables for Reset.
+	satVar  []int32
+	touched []int32
+	nAnds   int
 }
 
 // NewCNFBuilder returns a builder over the given graph and solver.
 func NewCNFBuilder(g *AIG, s *sat.Solver) *CNFBuilder {
-	return &CNFBuilder{G: g, S: s, varMap: make(map[int]int)}
+	return &CNFBuilder{G: g, S: s}
+}
+
+// Reset prepares the builder for a new query over the same graph: no AIG
+// variable is encoded and the solver is reset to the equivalent of
+// sat.New(0). Limit is left as it is.
+func (b *CNFBuilder) Reset() {
+	for _, v := range b.touched {
+		b.satVar[v] = 0
+	}
+	b.touched = b.touched[:0]
+	b.nAnds = 0
+	b.S.Reset()
+}
+
+// query resets the prover for one query under the given conflict budget
+// and window, and returns its solver.
+func (b *CNFBuilder) query(budget int64, window int) *sat.Solver {
+	b.Reset()
+	b.Limit = window
+	b.S.ConflictBudget = budget
+	return b.S
 }
 
 // SatVar returns the SAT variable encoding the given AIG variable, encoding
 // its transitive fanin cone on first use (up to Limit AND nodes).
 func (b *CNFBuilder) SatVar(v int) int {
-	if sv, ok := b.varMap[v]; ok {
-		return sv
+	if v >= len(b.satVar) {
+		// The graph may have grown since the last call (cec sweeps a graph
+		// it is still building).
+		b.satVar = append(b.satVar, make([]int32, max(b.G.NumVars(), v+1)-len(b.satVar))...)
+	} else if sv := b.satVar[v]; sv != 0 {
+		return int(sv) - 1
 	}
 	sv := b.S.AddVar()
-	b.varMap[v] = sv
+	b.satVar[v] = int32(sv) + 1
+	b.touched = append(b.touched, int32(v))
 	if v == 0 {
 		// Constant node: force FALSE.
 		b.S.AddClause(sat.L(sv, true))
@@ -68,24 +102,26 @@ func ProveEqual(g *AIG, a, b Lit, budget int64) (equal, proven bool) {
 // verdict is sound; a windowed SAT verdict may be spurious, so it is
 // reported as not-equal-but-proven=false when windowed.
 func ProveEqualWindow(g *AIG, a, b Lit, budget int64, windowNodes int) (equal, proven bool) {
-	if a == b {
+	return NewCNFBuilder(g, sat.New(0)).proveEqual(a, b, budget, windowNodes)
+}
+
+// proveEqual is ProveEqualWindow as one query on a reused prover.
+func (b *CNFBuilder) proveEqual(x, y Lit, budget int64, windowNodes int) (equal, proven bool) {
+	if x == y {
 		return true, true
 	}
-	s := sat.New(0)
-	s.ConflictBudget = budget
-	cb := NewCNFBuilder(g, s)
-	cb.Limit = windowNodes
-	la := cb.SatLit(a)
-	lb := cb.SatLit(b)
-	windowed := windowNodes > 0 && cb.nAnds >= windowNodes
-	// Miter: (a != b) satisfiable?
-	switch s.Solve(la, lb.Not()) {
+	s := b.query(budget, windowNodes)
+	lx := b.SatLit(x)
+	ly := b.SatLit(y)
+	windowed := windowNodes > 0 && b.nAnds >= windowNodes
+	// Miter: (x != y) satisfiable?
+	switch s.Solve(lx, ly.Not()) {
 	case sat.Sat:
 		return false, !windowed
 	case sat.Unknown:
 		return false, false
 	}
-	switch s.Solve(la.Not(), lb) {
+	switch s.Solve(lx.Not(), ly) {
 	case sat.Sat:
 		return false, !windowed
 	case sat.Unknown:

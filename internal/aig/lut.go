@@ -147,6 +147,7 @@ func (n *LUTNet) Mfs(opt MfsOptions) {
 	}
 	sigs := n.G.Signatures(opt.SimWords, opt.Seed)
 	act := n.G.Activities()
+	p := NewCNFBuilder(n.G, sat.New(0))
 
 	for _, root := range n.Order {
 		lut := n.LUTs[root]
@@ -175,7 +176,7 @@ func (n *LUTNet) Mfs(opt MfsOptions) {
 				continue
 			}
 			checks++
-			if n.patternUnreachable(lut, idx, opt.SATBudget, opt.Window) {
+			if p.patternUnreachable(lut.Leaves, idx, opt.SATBudget, opt.Window) {
 				dc |= 1 << uint(idx)
 			}
 		}
@@ -225,17 +226,16 @@ func (n *LUTNet) Mfs(opt MfsOptions) {
 	}
 }
 
-// patternUnreachable checks whether a specific leaf-value combination of a
-// LUT can ever occur; returns true when proven impossible.
-func (n *LUTNet) patternUnreachable(lut *LUT, idx int, budget int64, window int) bool {
-	s := sat.New(0)
-	s.ConflictBudget = budget
-	cb := NewCNFBuilder(n.G, s)
-	cb.Limit = window
-	assumptions := make([]sat.Lit, len(lut.Leaves))
-	for i, leaf := range lut.Leaves {
+// patternUnreachable checks whether a specific value combination of the
+// given LUT leaves can ever occur; returns true when proven impossible. It
+// is one query on a reused prover.
+func (b *CNFBuilder) patternUnreachable(leaves []int, idx int, budget int64, window int) bool {
+	s := b.query(budget, window)
+	var buf [6]sat.Lit // LUTs have at most 6 leaves
+	assumptions := buf[:0]
+	for i, leaf := range leaves {
 		neg := idx&(1<<uint(i)) == 0
-		assumptions[i] = sat.L(cb.SatVar(leaf), neg)
+		assumptions = append(assumptions, sat.L(b.SatVar(leaf), neg))
 	}
 	return s.Solve(assumptions...) == sat.Unsat
 }

@@ -104,6 +104,7 @@ func (g *AIG) Resub(opt ResubOptions) *AIG {
 	// Hash earlier nodes by signature for 0-resub candidates; store old
 	// variables.
 	byHash := make(map[uint64][]int)
+	p := NewCNFBuilder(g, sat.New(0))
 	zero := make([]uint64, opt.Words)
 	for i := 1; i <= g.numPI; i++ {
 		byHash[sigHash(sigs[i], false)] = append(byHash[sigHash(sigs[i], false)], i)
@@ -119,12 +120,12 @@ func (g *AIG) Resub(opt ResubOptions) *AIG {
 		// Constant detection.
 		if sigEqual(sigs[v], zero, false) {
 			proofs++
-			if eq, proven := ProveEqualWindow(g, MakeLit(v, false), False, opt.SATBudget, opt.Window); eq && proven {
+			if eq, proven := p.proveEqual(MakeLit(v, false), False, opt.SATBudget, opt.Window); eq && proven {
 				repl, replaced = False, true
 			}
 		} else if sigEqual(sigs[v], zero, true) {
 			proofs++
-			if eq, proven := ProveEqualWindow(g, MakeLit(v, false), True, opt.SATBudget, opt.Window); eq && proven {
+			if eq, proven := p.proveEqual(MakeLit(v, false), True, opt.SATBudget, opt.Window); eq && proven {
 				repl, replaced = True, true
 			}
 		}
@@ -143,7 +144,7 @@ func (g *AIG) Resub(opt ResubOptions) *AIG {
 						continue
 					}
 					proofs++
-					eq, proven := ProveEqualWindow(g, MakeLit(v, false), MakeLit(d, compl), opt.SATBudget, opt.Window)
+					eq, proven := p.proveEqual(MakeLit(v, false), MakeLit(d, compl), opt.SATBudget, opt.Window)
 					if eq && proven {
 						repl = m[d].NotIf(compl)
 						replaced = true
@@ -174,7 +175,7 @@ func (g *AIG) Resub(opt ResubOptions) *AIG {
 								break searchPairs
 							}
 							proofs++
-							if g.proveIsAnd(v, MakeLit(da, ca), MakeLit(db, cb), opt.SATBudget, opt.Window) {
+							if p.proveIsAnd(v, MakeLit(da, ca), MakeLit(db, cb), opt.SATBudget, opt.Window) {
 								repl = out.And(m[da].NotIf(ca), m[db].NotIf(cb))
 								replaced = true
 								break searchPairs
@@ -198,14 +199,12 @@ func (g *AIG) Resub(opt ResubOptions) *AIG {
 
 // proveIsAnd checks with SAT that node v equals the conjunction of the two
 // divisor literals, using an auxiliary Tseitin variable so no node has to be
-// added to the graph.
-func (g *AIG) proveIsAnd(v int, la, lb Lit, budget int64, window int) bool {
-	s := newBudgetSolver(budget)
-	cb := NewCNFBuilder(g, s)
-	cb.Limit = window
-	sv := sat.L(cb.SatVar(v), false)
-	sa := cb.SatLit(la)
-	sb := cb.SatLit(lb)
+// added to the graph. It is one query on a reused prover.
+func (b *CNFBuilder) proveIsAnd(v int, la, lb Lit, budget int64, window int) bool {
+	s := b.query(budget, window)
+	sv := sat.L(b.SatVar(v), false)
+	sa := b.SatLit(la)
+	sb := b.SatLit(lb)
 	t := sat.L(s.AddVar(), false)
 	s.AddClause(t.Not(), sa)
 	s.AddClause(t.Not(), sb)
@@ -214,12 +213,6 @@ func (g *AIG) proveIsAnd(v int, la, lb Lit, budget int64, window int) bool {
 		return false
 	}
 	return s.Solve(sv.Not(), t) == sat.Unsat
-}
-
-func newBudgetSolver(budget int64) *sat.Solver {
-	s := sat.New(0)
-	s.ConflictBudget = budget
-	return s
 }
 
 // sigIsAnd checks sig(v) == sig(a)^ca & sig(b)^cb.

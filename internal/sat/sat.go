@@ -6,11 +6,7 @@
 // inside ABC.
 package sat
 
-import (
-	"sort"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Lit is a literal: variable<<1 | sign (sign 1 = negated). Variables are
 // 0-based.
@@ -44,30 +40,30 @@ const (
 	Unsat
 )
 
-const noReason = int32(-1)
-
-type clause struct {
-	lits     []Lit
-	learnt   bool
-	activity float64
-}
+// noClause is the reason of decisions, assumptions and root-level units.
+const noClause = int32(-1)
 
 // Solver is a CDCL SAT solver. Zero value is not usable; call New.
+//
+// Clauses live back to back in one solver-owned arena: a header literal
+// holding the clause length, then the literals. A clause is named by the
+// arena offset of its header, so adding a clause appends to a slice instead
+// of allocating an object, and Reset makes all of that storage reusable.
 type Solver struct {
-	clauses  []*clause
-	watches  [][]*clause // literal -> watching clauses
-	assign   []int8      // var -> 0 unassigned, +1 true, -1 false
-	level    []int32     // var -> decision level
-	reason   []int32     // var -> clause index in trailReasons
-	reasons  []*clause   // aligned with vars: antecedent clause
+	arena    []Lit
+	watches  [][]int32 // literal -> watching clauses (arena offsets)
+	assign   []int8    // var -> 0 unassigned, +1 true, -1 false
+	level    []int32   // var -> decision level
+	reasons  []int32   // var -> antecedent clause, or noClause
 	activity []float64
 	polarity []bool // phase saving
+	seen     []bool // analyze scratch; all false between calls
+	learnt   []Lit  // analyze scratch
 	heap     varHeap
 	trail    []Lit
 	trailLim []int
 	qhead    int
 	varInc   float64
-	claInc   float64
 
 	// ConflictBudget bounds the search effort; <0 means unlimited.
 	ConflictBudget int64
@@ -77,9 +73,37 @@ type Solver struct {
 
 // New returns a solver pre-sized for n variables.
 func New(n int) *Solver {
-	s := &Solver{varInc: 1, claInc: 1, ConflictBudget: -1}
+	s := &Solver{varInc: 1, ConflictBudget: -1}
 	s.Grow(n)
 	return s
+}
+
+// Reset empties the solver: afterwards it is equivalent to New(0) — no
+// variables, no clauses, an unlimited budget, and the same decisions on
+// any later input — but it keeps its arena, watch lists and per-variable
+// arrays, so a solver reset between many small queries stops allocating
+// once those have grown to the largest query.
+func (s *Solver) Reset() {
+	for i := range s.watches {
+		s.watches[i] = s.watches[i][:0]
+	}
+	s.arena = s.arena[:0]
+	s.watches = s.watches[:0]
+	s.assign = s.assign[:0]
+	s.level = s.level[:0]
+	s.reasons = s.reasons[:0]
+	s.activity = s.activity[:0]
+	s.polarity = s.polarity[:0]
+	s.seen = s.seen[:0]
+	s.heap.data = s.heap.data[:0]
+	s.heap.indices = s.heap.indices[:0]
+	s.trail = s.trail[:0]
+	s.trailLim = s.trailLim[:0]
+	s.qhead = 0
+	s.varInc = 1
+	s.ConflictBudget = -1
+	s.conflicts = 0
+	s.rootUnsat = false
 }
 
 // Grow ensures the solver knows about at least n variables.
@@ -87,11 +111,16 @@ func (s *Solver) Grow(n int) {
 	for len(s.assign) < n {
 		s.assign = append(s.assign, 0)
 		s.level = append(s.level, 0)
-		s.reason = append(s.reason, noReason)
-		s.reasons = append(s.reasons, nil)
+		s.reasons = append(s.reasons, noClause)
 		s.activity = append(s.activity, 0)
 		s.polarity = append(s.polarity, false)
-		s.watches = append(s.watches, nil, nil)
+		s.seen = append(s.seen, false)
+		if w := len(s.watches); w+2 <= cap(s.watches) {
+			// Reslice over the lists Reset emptied, keeping their arrays.
+			s.watches = s.watches[:w+2]
+		} else {
+			s.watches = append(s.watches, nil, nil)
+		}
 		s.heap.push(s, len(s.assign)-1)
 	}
 }
@@ -113,20 +142,43 @@ func (s *Solver) value(l Lit) int8 {
 	return v
 }
 
+// lits returns the literals of the clause at arena offset cr.
+func (s *Solver) lits(cr int32) []Lit {
+	end := cr + 1 + int32(s.arena[cr])
+	return s.arena[cr+1 : end : end]
+}
+
+// newClause copies lits into the arena and returns the clause's offset.
+func (s *Solver) newClause(lits []Lit) int32 {
+	cr := len(s.arena)
+	if cr+1+len(lits) > 1<<31-1 {
+		panic("sat: clause arena exceeds 2^31 literals")
+	}
+	s.arena = append(s.arena, Lit(len(lits)))
+	s.arena = append(s.arena, lits...)
+	return int32(cr)
+}
+
 // AddClause adds a clause; it returns false if the formula became trivially
 // unsatisfiable (the solver then answers Unsat from Solve as well). It may
 // be called between Solve calls: the solver first backtracks to the root
 // level, and since clauses are only ever added (never removed), incremental
 // strengthening of the formula is sound. This is what the equivalence
 // checker's SAT sweeping relies on to encode AIG cones lazily across many
-// prove/refute queries on one solver.
+// prove/refute queries on one solver. The literals of lits are sorted and
+// compacted in place; the solver keeps its own copy.
 func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.rootUnsat {
 		return false
 	}
 	s.cancelUntil(0)
-	// Deduplicate and detect tautology.
-	sort.Slice(lits, func(i, j int) bool { return lits[i] < lits[j] })
+	// Deduplicate and detect tautology. Clauses are a few literals long,
+	// so an insertion sort is the cheapest way to order them.
+	for i := 1; i < len(lits); i++ {
+		for j := i; j > 0 && lits[j] < lits[j-1]; j-- {
+			lits[j], lits[j-1] = lits[j-1], lits[j]
+		}
+	}
 	out := lits[:0]
 	var prev Lit = -1
 	for _, l := range lits {
@@ -159,26 +211,25 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			return false
 		}
 		if s.value(lits[0]) == 0 {
-			s.enqueue(lits[0], nil)
-			if s.propagate() != nil {
+			s.enqueue(lits[0], noClause)
+			if s.propagate() != noClause {
 				s.rootUnsat = true
 				return false
 			}
 		}
 		return true
 	}
-	c := &clause{lits: append([]Lit(nil), lits...)}
-	s.attach(c)
+	s.attach(s.newClause(lits))
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
-	s.clauses = append(s.clauses, c)
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], c)
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], c)
+func (s *Solver) attach(cr int32) {
+	lits := s.lits(cr)
+	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], cr)
+	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], cr)
 }
 
-func (s *Solver) enqueue(l Lit, from *clause) {
+func (s *Solver) enqueue(l Lit, from int32) {
 	v := l.Var()
 	if l.Neg() {
 		s.assign[v] = -1
@@ -191,34 +242,35 @@ func (s *Solver) enqueue(l Lit, from *clause) {
 }
 
 // propagate performs unit propagation; it returns a conflicting clause or
-// nil.
-func (s *Solver) propagate() *clause {
+// noClause.
+func (s *Solver) propagate() int32 {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		ws := s.watches[p]
 		kept := ws[:0]
-		var confl *clause
+		confl := noClause
 		for wi := 0; wi < len(ws); wi++ {
-			c := ws[wi]
-			if confl != nil {
-				kept = append(kept, c)
+			cr := ws[wi]
+			if confl != noClause {
+				kept = append(kept, cr)
 				continue
 			}
+			lits := s.lits(cr)
 			// Ensure the falsified literal is lits[1].
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == p.Not() {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			if s.value(c.lits[0]) == 1 {
-				kept = append(kept, c)
+			if s.value(lits[0]) == 1 {
+				kept = append(kept, cr)
 				continue
 			}
 			// Search replacement watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != -1 {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], c)
+			for k := 2; k < len(lits); k++ {
+				if s.value(lits[k]) != -1 {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], cr)
 					found = true
 					break
 				}
@@ -226,19 +278,19 @@ func (s *Solver) propagate() *clause {
 			if found {
 				continue
 			}
-			kept = append(kept, c)
-			if s.value(c.lits[0]) == -1 {
-				confl = c
+			kept = append(kept, cr)
+			if s.value(lits[0]) == -1 {
+				confl = cr
 				continue
 			}
-			s.enqueue(c.lits[0], c)
+			s.enqueue(lits[0], cr)
 		}
 		s.watches[p] = kept
-		if confl != nil {
+		if confl != noClause {
 			return confl
 		}
 	}
-	return nil
+	return noClause
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
@@ -252,7 +304,7 @@ func (s *Solver) cancelUntil(lvl int) {
 		v := s.trail[i].Var()
 		s.polarity[v] = s.assign[v] == 1
 		s.assign[v] = 0
-		s.reasons[v] = nil
+		s.reasons[v] = noClause
 		s.heap.push(s, v)
 	}
 	s.trail = s.trail[:back]
@@ -274,23 +326,23 @@ func (s *Solver) bumpVar(v int) {
 }
 
 // analyze performs first-UIP learning, returning the learnt clause and the
-// backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	seen := make(map[int]bool)
-	var learnt []Lit
+// backtrack level. The clause is the solver's scratch buffer: it is valid
+// until the next analyze.
+func (s *Solver) analyze(confl int32) ([]Lit, int) {
+	learnt := append(s.learnt[:0], 0) // slot 0 takes the asserting literal
 	counter := 0
 	p := Lit(-1)
 	idx := len(s.trail) - 1
 	for {
-		for _, q := range confl.lits {
+		for _, q := range s.lits(confl) {
 			if p >= 0 && q == p {
 				continue
 			}
 			v := q.Var()
-			if seen[v] || s.level[v] == 0 {
+			if s.seen[v] || s.level[v] == 0 {
 				continue
 			}
-			seen[v] = true
+			s.seen[v] = true
 			s.bumpVar(v)
 			if int(s.level[v]) == s.decisionLevel() {
 				counter++
@@ -299,20 +351,26 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 			}
 		}
 		// Find next literal to expand on the trail.
-		for !seen[s.trail[idx].Var()] {
+		for !s.seen[s.trail[idx].Var()] {
 			idx--
 		}
 		p = s.trail[idx]
 		idx--
 		v := p.Var()
-		seen[v] = false
+		s.seen[v] = false
 		counter--
 		if counter == 0 {
-			learnt = append([]Lit{p.Not()}, learnt...)
+			learnt[0] = p.Not()
 			break
 		}
 		confl = s.reasons[v]
 	}
+	// Every current-level variable was expanded and unmarked above; the
+	// lower-level ones are exactly learnt[1:].
+	for _, q := range learnt[1:] {
+		s.seen[q.Var()] = false
+	}
+	s.learnt = learnt
 	// Backtrack level: second-highest level in the clause.
 	bt := 0
 	if len(learnt) > 1 {
@@ -353,7 +411,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		return Unsat
 	}
 	s.cancelUntil(0)
-	if s.propagate() != nil {
+	if s.propagate() != noClause {
 		return Unsat
 	}
 	restartLimit := int64(100)
@@ -368,8 +426,8 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			continue
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.enqueue(a, nil)
-		if s.propagate() != nil {
+		s.enqueue(a, noClause)
+		if s.propagate() != noClause {
 			s.cancelUntil(0)
 			return Unsat
 		}
@@ -378,7 +436,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != noClause {
 			s.conflicts++
 			if s.ConflictBudget >= 0 && s.conflicts > s.ConflictBudget {
 				s.cancelUntil(0)
@@ -398,15 +456,15 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 					return Unsat
 				}
 				if s.value(learnt[0]) == 0 {
-					s.enqueue(learnt[0], nil)
+					s.enqueue(learnt[0], noClause)
 				}
 			} else {
-				c := &clause{lits: learnt, learnt: true}
+				cr := s.newClause(learnt)
 				if len(learnt) >= 2 {
-					s.attach(c)
+					s.attach(cr)
 				}
 				if s.value(learnt[0]) == 0 {
-					s.enqueue(learnt[0], c)
+					s.enqueue(learnt[0], cr)
 				}
 			}
 			s.varInc /= 0.95
@@ -421,7 +479,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			return Sat
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.enqueue(l, nil)
+		s.enqueue(l, noClause)
 	}
 }
 
