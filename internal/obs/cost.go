@@ -26,9 +26,9 @@ const UnattributedPath = "(unattributed)"
 
 // costCapture is the process-global cost-attribution state: a CPU profile
 // accumulating into memory, plus a path-keyed table that ended spans fold
-// their boundary deltas into. The table — not the tracer — is the source
-// of truth for the report, so per-rep tracer resets (cryobench) cannot
-// lose earlier repetitions' costs.
+// their wall time and their path's boundary deltas into. The table — not
+// the tracer — is the source of truth for the report, so per-rep tracer
+// resets (cryobench) cannot lose earlier repetitions' costs.
 type costCapture struct {
 	startTime time.Time
 	startCPU  float64
@@ -37,6 +37,7 @@ type costCapture struct {
 	mu         sync.Mutex
 	prof       bytes.Buffer
 	table      map[string]*costAgg
+	active     map[string]*costActive // open span paths
 	finalized  bool
 	cpuByPath  map[string]int64 // self CPU ns per span path, from the profile
 	cpuTotalNs int64            // all profile samples, labeled or not
@@ -44,8 +45,8 @@ type costCapture struct {
 	procCPU    float64
 }
 
-// costAgg accumulates the boundary deltas of every span instance sharing
-// one tree path.
+// costAgg accumulates the instance count and wall time of every span
+// instance sharing one tree path, plus the path's boundary deltas.
 type costAgg struct {
 	count      int64
 	wall       time.Duration
@@ -74,6 +75,7 @@ func EnableCost() {
 		startTime: time.Now(),
 		startCPU:  processCPUSeconds(),
 		table:     map[string]*costAgg{},
+		active:    map[string]*costActive{},
 	}
 	if err := pprof.StartCPUProfile(&cc.prof); err != nil {
 		Log().Warnf("obs: cost: CPU profile unavailable (%v); cost tree will carry no CPU columns", err)
@@ -135,8 +137,8 @@ func FinalizeCost() {
 	cc.prof.Reset()
 }
 
-// costStart is the boundary snapshot a span takes at Start while cost
-// attribution is on; End diffs a fresh snapshot against it.
+// costStart is a boundary snapshot of the process-wide cumulative totals
+// a span path's cost is diffed from.
 type costStart struct {
 	allocBytes int64
 	allocObjs  int64
@@ -154,9 +156,9 @@ func takeCostStart() *costStart {
 }
 
 // readAllocCost reads cumulative allocation volume and GC CPU time from
-// runtime/metrics. These are process-wide monotonic totals; a span's delta
-// therefore includes whatever ran concurrently with it (documented caveat
-// — see docs/OBSERVABILITY.md).
+// runtime/metrics. These are process-wide monotonic totals; a path's delta
+// therefore includes whatever ran concurrently on other paths (documented
+// caveat — see docs/OBSERVABILITY.md).
 func readAllocCost() (allocBytes, allocObjs int64, gcCPUSec float64) {
 	s := []metrics.Sample{
 		{Name: "/gc/heap/allocs:bytes"},
@@ -176,26 +178,79 @@ func readAllocCost() (allocBytes, allocObjs int64, gcCPUSec float64) {
 	return allocBytes, allocObjs, gcCPUSec
 }
 
-// foldCost folds one ended span's boundary deltas into the global table.
-func foldCost(path string, wall time.Duration, start *costStart) {
-	cc := globalCost.Load()
-	if cc == nil || start == nil || path == "" {
-		return
-	}
-	end := takeCostStart()
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	foldDelta(cc.table, path, wall, start, end)
+// costActive tracks the open instances of one span path. Counters,
+// allocations and GC time are process-wide totals, so all open instances
+// of a path share one boundary snapshot: it is taken when the first
+// instance opens and diffed when the last one closes. Instances that
+// overlap (a worker pool running the same stage) thus count each
+// increment once instead of once per instance.
+type costActive struct {
+	open     int64
+	startSum int64 // sum of the open instances' start times, UnixNano
+	base     *costStart
 }
 
-func foldDelta(table map[string]*costAgg, path string, wall time.Duration, start, end *costStart) {
+// openSpan registers one opening instance of path.
+func (cc *costCapture) openSpan(path string, start time.Time) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	a := cc.active[path]
+	if a == nil {
+		a = &costActive{base: takeCostStart()}
+		cc.active[path] = a
+	}
+	a.open++
+	a.startSum += start.UnixNano()
+}
+
+// closeSpan folds one ended instance of path into the table; the path's
+// boundary delta is folded when its last open instance closes.
+func (cc *costCapture) closeSpan(path string, start time.Time, wall time.Duration) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	agg := aggFor(cc.table, path)
+	agg.count++
+	agg.wall += wall
+	a := cc.active[path]
+	if a == nil {
+		return
+	}
+	a.open--
+	a.startSum -= start.UnixNano()
+	if a.open == 0 {
+		delete(cc.active, path)
+		agg.addDelta(a.base, takeCostStart())
+	}
+}
+
+// foldOpen folds every still-open path's instances and current boundary
+// delta into the (caller-local) table. Called under cc.mu, so an instance
+// that ends concurrently is folded either here or in the table — never
+// both.
+func (cc *costCapture) foldOpen(table map[string]*costAgg) {
+	if len(cc.active) == 0 {
+		return
+	}
+	now := time.Now().UnixNano()
+	end := takeCostStart()
+	for path, a := range cc.active {
+		agg := aggFor(table, path)
+		agg.count += a.open
+		agg.wall += time.Duration(a.open*now - a.startSum)
+		agg.addDelta(a.base, end)
+	}
+}
+
+func aggFor(table map[string]*costAgg, path string) *costAgg {
 	a := table[path]
 	if a == nil {
 		a = &costAgg{counters: map[string]int64{}}
 		table[path] = a
 	}
-	a.count++
-	a.wall += wall
+	return a
+}
+
+func (a *costAgg) addDelta(start, end *costStart) {
 	a.allocBytes += end.allocBytes - start.allocBytes
 	a.allocObjs += end.allocObjs - start.allocObjs
 	a.gcCPUSec += end.gcCPUSec - start.gcCPUSec
@@ -266,6 +321,9 @@ func BuildCostReport(includeLive bool) *CostReport {
 		}
 		table[k] = &cp
 	}
+	if includeLive {
+		cc.foldOpen(table)
+	}
 	cpuByPath := cc.cpuByPath
 	cpuTotalNs := cc.cpuTotalNs
 	finalized := cc.finalized
@@ -276,9 +334,6 @@ func BuildCostReport(includeLive bool) *CostReport {
 		window = time.Since(cc.startTime)
 		procCPU = processCPUSeconds() - cc.startCPU
 	}
-	if includeLive {
-		foldOpenSpans(table)
-	}
 	rep := &CostReport{
 		WindowSec:      round6(window.Seconds()),
 		ProcessCPUSec:  round6(procCPU),
@@ -287,40 +342,6 @@ func BuildCostReport(includeLive bool) *CostReport {
 		Roots:          buildCostTree(table, cpuByPath, cpuTotalNs),
 	}
 	return rep
-}
-
-// foldOpenSpans folds every still-open cost-tracked span's current deltas
-// into the (caller-local) table. A span that ends concurrently is either
-// seen as ended here (its fold raced into the global table, possibly after
-// our copy — at worst this snapshot misses it) or folded provisionally —
-// never both, since End clears the snapshot under the span lock.
-func foldOpenSpans(table map[string]*costAgg) {
-	t := Tracing()
-	if t == nil {
-		return
-	}
-	var end *costStart
-	var walk func(s *Span)
-	walk = func(s *Span) {
-		s.mu.Lock()
-		start := s.cost
-		path := s.path
-		elapsed := time.Since(s.start)
-		open := !s.ended && start != nil && path != ""
-		s.mu.Unlock()
-		if open {
-			if end == nil {
-				end = takeCostStart()
-			}
-			foldDelta(table, path, elapsed, start, end)
-		}
-		for _, c := range s.Children() {
-			walk(c)
-		}
-	}
-	for _, r := range t.Roots() {
-		walk(r)
-	}
 }
 
 // buildCostTree turns the flat path table and the profile's per-path CPU

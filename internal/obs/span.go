@@ -47,7 +47,7 @@ type Span struct {
 	children []*Span
 	dur      time.Duration
 	ended    bool
-	cost     *costStart // boundary snapshot; nil when cost is off or folded
+	cost     *costCapture // capture the span is open in; nil when cost is off or folded
 }
 
 type spanCtxKey struct{}
@@ -64,9 +64,10 @@ func Start(ctx context.Context, name string, attrs ...Attr) (context.Context, *S
 	}
 	parent, _ := ctx.Value(spanCtxKey{}).(*Span)
 	s := &Span{name: name, start: time.Now(), parent: parent, attrs: attrs}
-	if CostEnabled() {
+	if cc := globalCost.Load(); cc != nil {
 		s.path = spanPath(parent, name)
-		s.cost = takeCostStart()
+		s.cost = cc
+		cc.openSpan(s.path, s.start)
 		s.restore = ctx
 	}
 	if parent != nil {
@@ -135,19 +136,19 @@ func (s *Span) End() {
 		return
 	}
 	s.mu.Lock()
-	var foldStart *costStart
+	var cc *costCapture
 	var restore context.Context
 	var dur time.Duration
 	if !s.ended {
 		s.ended = true
 		s.dur = time.Since(s.start)
 		dur = s.dur
-		foldStart, s.cost = s.cost, nil
+		cc, s.cost = s.cost, nil
 		restore, s.restore = s.restore, nil
 	}
 	s.mu.Unlock()
-	if foldStart != nil {
-		foldCost(s.path, dur, foldStart)
+	if cc != nil {
+		cc.closeSpan(s.path, s.start, dur)
 	}
 	if restore != nil {
 		pprof.SetGoroutineLabels(restore)
