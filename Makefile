@@ -97,8 +97,10 @@ cost:
 paperbench:
 	$(GO) test -bench . -benchtime 1x -run xxx .
 
-# Layer microbenchmarks: linear solver and op point (dense vs sparse vs
-# refactor), SAT solver and AIG provers (reused encode+solve, Resub, Mfs).
+# Layer microbenchmarks: linear solver (dense vs sparse, fresh vs refactored
+# into reused storage), op point and steady-state transient step (dense vs
+# sparse; the step and both refactors must report 0 allocs/op), SAT solver
+# and AIG provers (reused encode+solve, Resub, Mfs).
 microbench:
 	$(GO) test ./internal/linalg ./internal/spice ./internal/sat ./internal/aig -run xxx -bench . -benchmem -benchtime 100x
 

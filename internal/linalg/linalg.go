@@ -40,30 +40,29 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.N)
-	copy(c.A, m.A)
-	return c
-}
-
-// LU holds an LU factorization with its pivot permutation.
+// LU holds an LU factorization with partial pivoting. Its storage is sized
+// once by NewLU and refilled by every Refactor, so a solver that factors a
+// fresh matrix of the same size each Newton iteration allocates nothing.
 type LU struct {
-	n    int
-	lu   []float64
-	piv  []int
-	sign int
+	n   int
+	lu  []float64
+	piv []int
 }
 
-// Factor computes the LU factorization of m with partial pivoting. m is not
-// modified.
-func Factor(m *Matrix) (*LU, error) {
-	n := m.N
-	f := &LU{n: n, lu: append([]float64(nil), m.A...), piv: make([]int, n), sign: 1}
+// NewLU returns factorization storage for n x n matrices.
+func NewLU(n int) *LU {
+	return &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n)}
+}
+
+// Refactor computes the LU factorization of m, which must be f's size, into
+// f's own storage. m is not modified.
+func (f *LU) Refactor(m *Matrix) error {
+	n := f.n
+	a := f.lu
+	copy(a, m.A)
 	for i := range f.piv {
 		f.piv[i] = i
 	}
-	a := f.lu
 	for k := 0; k < n; k++ {
 		// Pivot search.
 		p := k
@@ -74,14 +73,13 @@ func Factor(m *Matrix) (*LU, error) {
 			}
 		}
 		if max < 1e-300 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if p != k {
 			for j := 0; j < n; j++ {
 				a[k*n+j], a[p*n+j] = a[p*n+j], a[k*n+j]
 			}
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
 		}
 		pivot := a[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -95,13 +93,13 @@ func Factor(m *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return f, nil
+	return nil
 }
 
-// Solve solves A*x = b for x using the factorization. b is not modified.
-func (f *LU) Solve(b []float64) []float64 {
+// SolveInto solves A*x = b into x using the factorization. b is not
+// modified and must not alias x.
+func (f *LU) SolveInto(x, b []float64) {
 	n := f.n
-	x := make([]float64, n)
 	for i := 0; i < n; i++ {
 		x[i] = b[f.piv[i]]
 	}
@@ -121,16 +119,6 @@ func (f *LU) Solve(b []float64) []float64 {
 		}
 		x[i] = s / f.lu[i*n+i]
 	}
-	return x
-}
-
-// SolveSystem factors m and solves m*x = b in one call.
-func SolveSystem(m *Matrix, b []float64) ([]float64, error) {
-	f, err := Factor(m)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b), nil
 }
 
 // MaxAbsDiff returns the infinity-norm distance between two vectors of equal

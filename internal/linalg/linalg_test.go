@@ -7,12 +7,23 @@ import (
 	"testing/quick"
 )
 
+// solveDense factors m into fresh storage and solves m*x = b.
+func solveDense(m *Matrix, b []float64) ([]float64, error) {
+	f := NewLU(m.N)
+	if err := f.Refactor(m); err != nil {
+		return nil, err
+	}
+	x := make([]float64, m.N)
+	f.SolveInto(x, b)
+	return x, nil
+}
+
 func TestSolveIdentity(t *testing.T) {
 	m := NewMatrix(3)
 	for i := 0; i < 3; i++ {
 		m.Set(i, i, 1)
 	}
-	x, err := SolveSystem(m, []float64{1, 2, 3})
+	x, err := solveDense(m, []float64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +40,7 @@ func TestSolveKnownSystem(t *testing.T) {
 	m.Set(0, 1, 1)
 	m.Set(1, 0, 1)
 	m.Set(1, 1, 3)
-	x, err := SolveSystem(m, []float64{5, 10})
+	x, err := solveDense(m, []float64{5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +56,7 @@ func TestPivotingRequired(t *testing.T) {
 	m.Set(0, 1, 1)
 	m.Set(1, 0, 1)
 	m.Set(1, 1, 0)
-	x, err := SolveSystem(m, []float64{2, 3})
+	x, err := solveDense(m, []float64{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +71,8 @@ func TestSingularDetected(t *testing.T) {
 	m.Set(0, 1, 2)
 	m.Set(1, 0, 2)
 	m.Set(1, 1, 4)
-	if _, err := Factor(m); err != ErrSingular {
-		t.Errorf("Factor(singular) err = %v, want ErrSingular", err)
+	if err := NewLU(2).Refactor(m); err != ErrSingular {
+		t.Errorf("Refactor(singular) err = %v, want ErrSingular", err)
 	}
 }
 
@@ -71,12 +82,14 @@ func TestFactorReuse(t *testing.T) {
 	m.Set(0, 1, 1)
 	m.Set(1, 0, 1)
 	m.Set(1, 1, 3)
-	f, err := Factor(m)
-	if err != nil {
+	f := NewLU(2)
+	if err := f.Refactor(m); err != nil {
 		t.Fatal(err)
 	}
-	x1 := f.Solve([]float64{1, 0})
-	x2 := f.Solve([]float64{0, 1})
+	x1 := make([]float64, 2)
+	x2 := make([]float64, 2)
+	f.SolveInto(x1, []float64{1, 0})
+	f.SolveInto(x2, []float64{0, 1})
 	// Check A*x = b for both.
 	check := func(x, b []float64) {
 		for i := 0; i < 2; i++ {
@@ -90,13 +103,37 @@ func TestFactorReuse(t *testing.T) {
 	check(x2, []float64{0, 1})
 }
 
-func TestCloneIndependent(t *testing.T) {
-	m := NewMatrix(2)
-	m.Set(0, 0, 1)
-	c := m.Clone()
-	c.Set(0, 0, 99)
-	if m.At(0, 0) != 1 {
-		t.Error("Clone shares storage with the original")
+// TestRefactorIntoOwnStorage refactors two different matrices into one LU:
+// each factorization must overwrite the previous one completely (pivots
+// included) and leave its input matrix untouched.
+func TestRefactorIntoOwnStorage(t *testing.T) {
+	a := NewMatrix(2) // needs a row swap
+	a.Set(0, 1, 1)
+	a.Set(1, 0, 1)
+	b := NewMatrix(2) // diagonal, no swap
+	b.Set(0, 0, 2)
+	b.Set(1, 1, 4)
+	before := append([]float64(nil), a.A...)
+	f := NewLU(2)
+	x := make([]float64, 2)
+	for _, tc := range []struct {
+		m    *Matrix
+		want []float64
+	}{
+		{a, []float64{3, 2}},
+		{b, []float64{1, 0.75}},
+		{a, []float64{3, 2}},
+	} {
+		if err := f.Refactor(tc.m); err != nil {
+			t.Fatal(err)
+		}
+		f.SolveInto(x, []float64{2, 3})
+		if MaxAbsDiff(x, tc.want) > 1e-12 {
+			t.Errorf("x = %v, want %v", x, tc.want)
+		}
+	}
+	if MaxAbsDiff(a.A, before) != 0 {
+		t.Errorf("Refactor modified its input: %v, was %v", a.A, before)
 	}
 }
 
@@ -115,7 +152,7 @@ func TestQuickRandomSolveResidual(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x, err := SolveSystem(m, b)
+		x, err := solveDense(m, b)
 		if err != nil {
 			return false
 		}

@@ -70,13 +70,6 @@ type Sparse struct {
 // NNZ returns the number of structural nonzeros.
 func (s *Sparse) NNZ() int { return len(s.Rows) }
 
-// Zero clears all values, keeping the pattern.
-func (s *Sparse) Zero() {
-	for i := range s.Vals {
-		s.Vals[i] = 0
-	}
-}
-
 // Slot returns the index into Vals of entry (i, j), or -1 when (i, j) is not
 // in the pattern. Columns are sorted, so the lookup is a binary search over
 // the handful of entries in column j.

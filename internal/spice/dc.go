@@ -55,102 +55,97 @@ func dampFor(tempK float64) float64 {
 // OpPoint solves the DC operating point at t = 0 and returns the solution
 // vector (node voltages followed by voltage-source branch currents).
 func (c *Circuit) OpPoint() ([]float64, error) {
-	return c.opAt(0, nil, 0, nil)
+	return c.OpPointFrom(nil)
 }
 
 // OpPointFrom solves the DC operating point seeded with an initial guess —
 // used to re-solve after removing a symmetry-breaking aid, keeping the
 // solution on the same stable branch of a bistable circuit.
 func (c *Circuit) OpPointFrom(guess []float64) ([]float64, error) {
-	return c.opAt(0, nil, 0, guess)
+	x := make([]float64, c.systemSize())
+	if err := c.opAt(x, 0, nil, 0, guess); err != nil {
+		return nil, err
+	}
+	return x, nil
 }
 
-// opAt runs Newton-Raphson at the given time. For transient steps, prev is
-// the previous solution (used by capacitor companions) and dt > 0. guess
-// seeds the iteration when non-nil.
-func (c *Circuit) opAt(t float64, prev []float64, dt float64, guess []float64) ([]float64, error) {
-	n := c.systemSize()
-	x := make([]float64, n)
-	if guess != nil {
-		copy(x, guess)
-	}
-	if sol, err := c.newton(t, prev, dt, x, baseGmin, c.Temp); err == nil {
-		return sol, nil
+// opAt runs Newton-Raphson at the given time and writes the solution into
+// dst, which has the system size. For transient steps, prev is the previous
+// solution (used by capacitor companions) and dt > 0. guess seeds the
+// iteration when non-nil (missing entries start at zero); it may alias prev
+// but neither may alias dst.
+func (c *Circuit) opAt(dst []float64, t float64, prev []float64, dt float64, guess []float64) error {
+	saved := c.solverFor().saved
+	clear(saved)
+	copy(saved, guess)
+	copy(dst, saved)
+	if err := c.newton(dst, t, prev, dt, baseGmin, c.Temp); err == nil {
+		return nil
 	}
 	// Fallback 1: gmin continuation — solve with heavy gmin and relax,
 	// keeping any caller-provided guess so warm starts stay on their branch
 	// (bistable circuits!).
 	obs.C("spice.newton.retries").Inc()
-	if sol, err := c.gminLadderFrom(t, prev, dt, c.Temp, x); err == nil {
-		return sol, nil
+	copy(dst, saved)
+	if err := c.gminLadder(dst, t, prev, dt, c.Temp); err == nil {
+		return nil
 	}
 	// Fallback 2: temperature continuation. The 300 K system is far better
 	// conditioned (gentler exponentials); walk the solution down to the
-	// target temperature, warm-starting each rung from the caller's guess.
+	// target temperature, warm-starting from the caller's guess. Each rung
+	// tries Newton, then the gmin ladder from the rung's starting point.
 	obs.C("spice.temp_continuation.runs").Inc()
-	ladder := []float64{300, 150, 77, 40, 20, 12, c.Temp}
-	x = make([]float64, n)
-	if guess != nil {
-		copy(x, guess)
-	}
-	solved := false
-	for _, temp := range ladder {
-		if temp < c.Temp {
-			temp = c.Temp
+	rung := func(temp float64) error {
+		copy(saved, dst)
+		if c.newton(dst, t, prev, dt, baseGmin, temp) == nil {
+			return nil
 		}
-		sol, err := c.newton(t, prev, dt, x, baseGmin, temp)
-		if err != nil {
-			sol, err = c.gminLadderFrom(t, prev, dt, temp, x)
-			if err != nil {
-				if ce := AsConvergenceError(err); ce != nil {
-					ce.Diag.Phase = PhaseTempContinuation
-				}
-				return nil, fmt.Errorf("%w (temperature continuation at %g K)", err, temp)
+		copy(dst, saved)
+		if err := c.gminLadder(dst, t, prev, dt, temp); err != nil {
+			if ce := AsConvergenceError(err); ce != nil {
+				ce.Diag.Phase = PhaseTempContinuation
 			}
+			return fmt.Errorf("%w (temperature continuation at %g K)", err, temp)
 		}
-		x = sol
-		if temp == c.Temp {
-			solved = true
+		return nil
+	}
+	copy(dst, saved)
+	for _, temp := range [...]float64{300, 150, 77, 40, 20, 12} {
+		if temp <= c.Temp {
 			break
 		}
-	}
-	if !solved {
-		// c.Temp > 300: finish directly.
-		sol, err := c.newton(t, prev, dt, x, baseGmin, c.Temp)
-		if err != nil {
-			return nil, err
+		if err := rung(temp); err != nil {
+			return err
 		}
-		x = sol
 	}
-	return x, nil
+	return rung(c.Temp)
 }
 
-func (c *Circuit) gminLadderFrom(t float64, prev []float64, dt, temp float64, x0 []float64) ([]float64, error) {
+// gminLadder walks x through the gmin-continuation schedule in place.
+func (c *Circuit) gminLadder(x []float64, t float64, prev []float64, dt, temp float64) error {
 	obs.C("spice.gmin.ladders").Inc()
-	x := append([]float64(nil), x0...)
 	for depth, gmin := range gminLadder {
-		sol, err := c.newton(t, prev, dt, x, gmin, temp)
-		if err != nil {
+		if err := c.newton(x, t, prev, dt, gmin, temp); err != nil {
 			obs.H("spice.gmin.ladder_depth").Observe(float64(depth + 1))
 			obs.C("spice.gmin.exhausted").Inc()
 			if ce := AsConvergenceError(err); ce != nil {
 				ce.Diag.Phase = PhaseGminLadder
 			}
-			return nil, fmt.Errorf("%w (gmin=%g)", err, gmin)
+			return fmt.Errorf("%w (gmin=%g)", err, gmin)
 		}
-		x = sol
 		obs.C("spice.gmin.steps").Inc()
 	}
 	obs.H("spice.gmin.ladder_depth").Observe(gminLadderFullDepth)
-	return x, nil
+	return nil
 }
 
 // newton runs damped Newton-Raphson with a fixed gmin at the given
-// temperature. While it iterates it keeps the trailing ringK iterations in
-// a fixed-size ring (maxDV and its node, worst residual and its row, gmin
-// rung, temperature); on failure the ring becomes the diagnosis of the
-// returned *ConvergenceError.
-func (c *Circuit) newton(t float64, prev []float64, dt float64, x0 []float64, gmin, temp float64) (sol []float64, err error) {
+// temperature, iterating x in place from the guess it holds; on success x
+// is the solution, on failure it is the last iterate. While it iterates it
+// keeps the trailing ringK iterations in a fixed-size ring (maxDV and its
+// node, worst residual and its row, gmin rung, temperature); on failure the
+// ring becomes the diagnosis of the returned *ConvergenceError.
+func (c *Circuit) newton(x []float64, t float64, prev []float64, dt float64, gmin, temp float64) (err error) {
 	obs.C("spice.newton.solves").Inc()
 	iters := 0
 	defer func() {
@@ -165,7 +160,8 @@ func (c *Circuit) newton(t float64, prev []float64, dt float64, x0 []float64, gm
 	nNode := len(c.names)
 	st := c.solverFor()
 	b := st.b
-	x := append([]float64(nil), x0...)
+	ctx := &st.ctx
+	*ctx = stampCtx{g: &st.mat, b: b, x: x, prev: prev, time: t, dt: dt, nNode: nNode, gmin: gmin, temp: temp}
 
 	maxIt := c.MaxIter
 	if maxIt <= 0 {
@@ -182,7 +178,6 @@ func (c *Circuit) newton(t float64, prev []float64, dt float64, x0 []float64, gm
 			damp *= 0.5
 		}
 		mat := st.beginStamp(dt > 0)
-		ctx := &stampCtx{g: mat, b: b, x: x, prev: prev, time: t, dt: dt, nNode: nNode, gmin: gmin, temp: temp}
 		for _, e := range c.elems {
 			e.stamp(ctx)
 		}
@@ -218,10 +213,10 @@ func (c *Circuit) newton(t float64, prev []float64, dt float64, x0 []float64, gm
 			}
 		}
 		if ok {
-			return x, nil
+			return nil
 		}
 		if err := st.solve(); err != nil {
-			return nil, err
+			return err
 		}
 		xNew := st.xNew
 		// Damping: limit per-node voltage moves to keep the exponential
@@ -252,11 +247,11 @@ func (c *Circuit) newton(t float64, prev []float64, dt float64, x0 []float64, gm
 			gmin: gmin, temp: temp,
 		}
 		if maxDV < newtonTolV {
-			return x, nil
+			return nil
 		}
 		if (debugNewton || obs.Log().DebugEnabled()) && it > maxIt-20 {
 			obs.Log().Emitf(obs.LogDebug, "spice: newton it=%d temp=%g gmin=%g maxDV=%.3e x=%.4v", it, temp, gmin, maxDV, x)
 		}
 	}
-	return nil, c.diagnose(&ring, iters, x, t, prev, dt, gmin, temp)
+	return c.diagnose(&ring, iters, x, t, prev, dt, gmin, temp)
 }

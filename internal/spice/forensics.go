@@ -219,13 +219,15 @@ func (c *Circuit) worstResidualRow(x []float64, t float64, prev []float64, dt, g
 	nNode := len(c.names)
 	g := linalg.NewMatrix(n)
 	b := make([]float64, n)
-	ctx := &stampCtx{g: g, b: b, x: x, prev: prev, time: t, dt: dt, nNode: nNode, gmin: gmin, temp: temp}
+	s := &stamper{}
+	ctx := &stampCtx{g: s, b: b, x: x, prev: prev, time: t, dt: dt, nNode: nNode, gmin: gmin, temp: temp}
 	for _, e := range c.elems {
 		e.stamp(ctx)
 	}
 	for i := 0; i < nNode; i++ {
-		g.Add(i, i, gmin)
+		s.Add(i, i, gmin)
 	}
+	s.drain(g.Add)
 	row, score, resid := -1, 0.0, 0.0
 	for i := 0; i < n; i++ {
 		var r float64
@@ -256,14 +258,14 @@ func (c *Circuit) attributeResiduals(x []float64, t float64, prev []float64, dt,
 	}
 	g := linalg.NewMatrix(n)
 	b := make([]float64, n)
+	s := &stamper{}
+	ctx := &stampCtx{g: s, b: b, x: x, prev: prev, time: t, dt: dt, nNode: len(c.names), gmin: gmin, temp: temp}
 	out := make([]DeviceResidual, 0, len(c.elems))
 	for i, e := range c.elems {
 		g.Zero()
-		for j := range b {
-			b[j] = 0
-		}
-		ctx := &stampCtx{g: g, b: b, x: x, prev: prev, time: t, dt: dt, nNode: len(c.names), gmin: gmin, temp: temp}
+		clear(b)
 		e.stamp(ctx)
+		s.drain(g.Add)
 		r := -b[worst]
 		for j := 0; j < n; j++ {
 			r += g.At(worst, j) * x[j]

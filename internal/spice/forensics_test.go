@@ -2,6 +2,7 @@ package spice
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -141,5 +142,26 @@ func TestGminExhaustedCounterWiring(t *testing.T) {
 	}
 	if gminLadder[len(gminLadder)-1] != baseGmin {
 		t.Fatal("gmin ladder must end at baseGmin")
+	}
+}
+
+// TestForensicResidualsSeeMatrixStamps pins that forensics resolves every
+// captured matrix stamp: at a non-solution iterate of a resistor divider,
+// only R1's conductance stamp (not any RHS term) unbalances the midpoint.
+func TestForensicResidualsSeeMatrixStamps(t *testing.T) {
+	c := New(300)
+	a, b := c.Node("a"), c.Node("b")
+	c.AddVSource(a, Ground, DC(1))
+	c.AddResistor(a, b, 1e3)
+	c.NameLast("R1")
+	c.AddResistor(b, Ground, 1e3)
+	c.NameLast("R2")
+	x := []float64{1, 0, 0} // v(a), v(b), i(V1)
+	got := c.attributeResiduals(x, 0, nil, 0, 0, 300, int(b), 5)
+	if len(got) != 1 || got[0].Device != "R1" || math.Abs(got[0].Residual-1e-3) > 1e-15 {
+		t.Errorf("residuals at b = %+v, want only R1 at 1e-3 A", got)
+	}
+	if row, resid := c.worstResidualRow(x, 0, nil, 0, 0, 300); row < 0 || math.Abs(resid-1e-3) > 1e-15 {
+		t.Errorf("worst residual row %d at %g A, want 1e-3 A", row, resid)
 	}
 }

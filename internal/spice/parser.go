@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -254,6 +255,8 @@ func parseSource(fields []string) (SourceFn, error) {
 }
 
 // ParseValue parses a SPICE numeric literal with an optional unit suffix.
+// The result must be finite: "inf", "nan" and literals that overflow after
+// scaling are rejected.
 func ParseValue(s string) (float64, error) {
 	s = strings.TrimSpace(strings.ToLower(s))
 	mult := 1.0
@@ -281,5 +284,9 @@ func ParseValue(s string) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad numeric value %q", s)
 	}
-	return v * mult, nil
+	v *= mult
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return 0, fmt.Errorf("non-finite numeric value %q", s)
+	}
+	return v, nil
 }

@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/linalg"
@@ -31,113 +32,83 @@ const denseCutoff = 8
 const pivotTau = 0.1
 
 // solverState is the per-circuit solver scratch: the assembled matrix (one
-// backend), the reusable factorization, and the vectors the Newton loop
-// writes into. It is rebuilt whenever the circuit's topology (element count
-// or unknown count) changes, which freezes the sparsity pattern per
-// topology exactly once.
+// backend), the reusable factorization, the stamping context and the
+// vectors the Newton loop writes into. It is rebuilt whenever the circuit's
+// topology (element count or unknown count) changes, which freezes the
+// sparsity pattern per topology exactly once. A converged transient step
+// allocates nothing.
 type solverState struct {
 	n, nNode int
 	nelems   int
 	kind     SolverKind
 	dense    bool
 
-	gd *linalg.Matrix // dense backend
-	sp *linalg.Sparse // sparse backend (compiled pattern)
-	lu *linalg.SparseLU
+	gd  *linalg.Matrix // dense backend
+	dlu *linalg.LU     // dense factorization storage
+	sp  *linalg.Sparse // sparse backend (compiled pattern)
+	lu  *linalg.SparseLU
 
-	// seq[mode] is the recorded slot sequence of one full stamping pass —
-	// the per-topology index map. Element stamp order and each element's
-	// Add-call sequence depend only on topology and the analysis mode
-	// (mode 1: transient, capacitor companions active; mode 0: DC), never
-	// on values, so after one recording pass every stamp resolves to an
-	// O(1) indexed add instead of a binary search in the CSC column.
-	seq      [2][]int32
-	recorder seqRecorder
-	replayer seqReplayer
+	// seq[mode] is the recorded slot sequence of one full stamping pass in
+	// that analysis mode (see stamper) — the per-topology index map, so
+	// every stamp after the first pass is an O(1) indexed add on either
+	// backend instead of a binary search in the CSC column.
+	seq [2][]int32
+	mat stamper
+	ctx stampCtx
 
 	b     []float64 // right-hand side
 	resid []float64 // G*x scratch for the residual scan
 	xNew  []float64 // Newton proposal
+	saved []float64 // restart point a failed Newton attempt falls back to
 }
 
-// seqRecorder resolves stamps against the compiled pattern by binary search
-// and records the slot order for replay.
-type seqRecorder struct {
-	sp  *linalg.Sparse
-	seq []int32
-}
-
-func (r *seqRecorder) Add(i, j int, v float64) {
-	s := r.sp.Slot(i, j)
-	r.seq = append(r.seq, int32(s))
-	r.sp.Vals[s] += v
-}
-
-// seqReplayer replays a recorded slot sequence: each Add consumes the next
-// slot. A k that runs past the sequence means an element stamped a
-// value-dependent pattern — a bug; endStamp catches it.
-type seqReplayer struct {
-	sp  *linalg.Sparse
-	seq []int32
-	k   int
-}
-
-func (r *seqReplayer) Add(i, j int, v float64) {
-	r.sp.Vals[r.seq[r.k]] += v
-	r.k++
-}
-
-// beginStamp clears the system and returns the matrix to stamp into.
-// Sparse circuits record the slot sequence on the first pass for the mode
-// (tran: capacitor companions active) and replay it afterwards; the caller
-// must finish the pass with endStamp.
-func (st *solverState) beginStamp(tran bool) mnaMatrix {
-	st.zeroSystem()
-	if st.dense {
-		return st.gd
-	}
-	mode := 0
+func stampMode(tran bool) int {
 	if tran {
-		mode = 1
+		return 1
 	}
-	if st.seq[mode] == nil {
-		st.recorder = seqRecorder{sp: st.sp}
-		return &st.recorder
-	}
-	st.replayer = seqReplayer{sp: st.sp, seq: st.seq[mode]}
-	return &st.replayer
+	return 0
 }
 
-// endStamp commits a recording pass or verifies a replay consumed exactly
-// the recorded sequence.
+// beginStamp clears the system and returns the matrix to stamp into: a
+// replay of the mode's recorded slot sequence, or a capture on the mode's
+// first pass. The caller must finish the pass with endStamp.
+func (st *solverState) beginStamp(tran bool) *stamper {
+	clear(st.mat.vals)
+	clear(st.b)
+	st.mat.seq = st.seq[stampMode(tran)]
+	st.mat.k = 0
+	return &st.mat
+}
+
+// endStamp resolves and records a capture pass, or verifies a replay
+// consumed exactly the recorded sequence.
 func (st *solverState) endStamp(tran bool) {
-	if st.dense {
+	m := &st.mat
+	if m.seq != nil {
+		if m.k != len(m.seq) {
+			panic("spice: stamp sequence diverged from recorded pattern — value-dependent stamping?")
+		}
 		return
 	}
-	mode := 0
-	if tran {
-		mode = 1
-	}
-	if st.seq[mode] == nil {
-		st.seq[mode] = st.recorder.seq
-		st.recorder = seqRecorder{}
-		return
-	}
-	if st.replayer.k != len(st.replayer.seq) {
-		panic("spice: stamp sequence diverged from recorded pattern — value-dependent stamping?")
-	}
+	seq := make([]int32, 0, len(m.captured))
+	m.drain(func(i, j int, v float64) {
+		s := st.slot(i, j)
+		seq = append(seq, int32(s))
+		m.vals[s] += v
+	})
+	st.seq[stampMode(tran)] = seq
 }
 
-// zeroSystem clears the matrix (O(nnz) on the sparse path) and RHS.
-func (st *solverState) zeroSystem() {
+// slot resolves entry (i, j) to its index in the active backend's values.
+func (st *solverState) slot(i, j int) int {
 	if st.dense {
-		st.gd.Zero()
-	} else {
-		st.sp.Zero()
+		return i*st.n + j
 	}
-	for i := range st.b {
-		st.b[i] = 0
+	s := st.sp.Slot(i, j)
+	if s < 0 {
+		panic(fmt.Sprintf("spice: stamp (%d,%d) outside the discovered sparsity pattern", i, j))
 	}
+	return s
 }
 
 // mulVecInto computes dst = G*x on whichever backend is active.
@@ -148,12 +119,6 @@ func (st *solverState) mulVecInto(dst, x []float64) {
 		st.sp.MulVecInto(dst, x)
 	}
 }
-
-// patternRecorder adapts linalg.Pattern to the stamp interface so one
-// discovery pass over the elements yields the full sparsity pattern.
-type patternRecorder struct{ p *linalg.Pattern }
-
-func (r patternRecorder) Add(i, j int, _ float64) { r.p.Add(i, j) }
 
 // solverFor returns the circuit's solver state, (re)building it when the
 // topology changed since the last solve. Building the sparse state runs one
@@ -171,29 +136,32 @@ func (c *Circuit) solverFor() *solverState {
 		b:     make([]float64, n),
 		resid: make([]float64, n),
 		xNew:  make([]float64, n),
+		saved: make([]float64, n),
 	}
 	st.dense = c.Solver == SolverDense || (c.Solver == SolverAuto && n <= denseCutoff)
 	if st.dense {
 		st.gd = linalg.NewMatrix(n)
+		st.dlu = linalg.NewLU(n)
+		st.mat.vals = st.gd.A
 		obs.C("spice.solver.dense_builds").Inc()
 	} else {
 		pat := linalg.NewPattern(n)
 		zero := make([]float64, n)
-		ctx := &stampCtx{
-			g: patternRecorder{pat}, b: st.b, x: zero, prev: zero,
+		st.ctx = stampCtx{
+			g: &st.mat, b: st.b, x: zero, prev: zero,
 			time: 0, dt: 1e-12, nNode: nNode, temp: c.Temp,
 		}
 		for _, e := range c.elems {
-			e.stamp(ctx)
+			e.stamp(&st.ctx)
 		}
+		st.mat.drain(func(i, j int, _ float64) { pat.Add(i, j) })
 		// The gmin convergence aid lands on every node diagonal.
 		for i := 0; i < nNode; i++ {
 			pat.Add(i, i)
 		}
 		st.sp = pat.Compile()
-		for i := range st.b {
-			st.b[i] = 0
-		}
+		st.mat.vals = st.sp.Vals
+		clear(st.b)
 		obs.C("spice.solver.pattern_builds").Inc()
 	}
 	c.solver = st
@@ -206,11 +174,10 @@ func (c *Circuit) solverFor() *solverState {
 // numerically triggers one full re-pivot before giving up.
 func (st *solverState) solve() error {
 	if st.dense {
-		f, err := linalg.Factor(st.gd)
-		if err != nil {
+		if err := st.dlu.Refactor(st.gd); err != nil {
 			return err
 		}
-		copy(st.xNew, f.Solve(st.b))
+		st.dlu.SolveInto(st.xNew, st.b)
 		return nil
 	}
 	metrics := obs.MetricsEnabled()

@@ -439,6 +439,40 @@ func TestTransientRejectsBadWindow(t *testing.T) {
 	}
 }
 
+// TestTransientInputBoundary covers windows and values a fixed-step
+// transient cannot represent: each must be refused with an error, never a
+// panic or a silently truncated waveform.
+func TestTransientInputBoundary(t *testing.T) {
+	const rc = "V1 in 0 DC 1\nR1 in out 1k\nC1 out 0 1f\n"
+	// Parses, but tstop/tstep overflows an int step count.
+	res, err := ParseNetlist(strings.NewReader(rc+".tran 1e-300 1n\n"), ParseOptions{})
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if wf, err := res.Circuit.Transient(res.Tstop, res.Tstep); err == nil {
+		t.Errorf(".tran 1e-300 1n: returned %d samples without error", len(wf.Time))
+	}
+	for _, deck := range []string{rc + ".tran 1n inff\n", "R1 a 0 nanf\n"} {
+		if _, err := ParseNetlist(strings.NewReader(deck), ParseOptions{}); err == nil {
+			t.Errorf("deck %q parsed without error", deck)
+		}
+	}
+	for _, w := range [][2]float64{
+		{math.Inf(1), 1e-12}, {1e-9, math.Inf(1)},
+		{math.NaN(), 1e-12}, {1e-9, math.NaN()},
+		{1e-9, 1e-9 / (maxTranSteps + 1)}, // one step past the bound
+	} {
+		if _, err := res.Circuit.TransientFrom(nil, w[0], w[1]); err == nil {
+			t.Errorf("TransientFrom(tstop=%g, dt=%g) accepted", w[0], w[1])
+		}
+	}
+	for _, in := range []string{"inf", "inff", "nan", "nanf", "1e300t"} {
+		if v, err := ParseValue(in); err == nil {
+			t.Errorf("ParseValue(%q) = %v, want an error", in, v)
+		}
+	}
+}
+
 func TestPassGateThroughNMOS(t *testing.T) {
 	// NMOS pass transistor: output follows input up to Vdd - Vth.
 	c := New(300)

@@ -4,17 +4,51 @@ import (
 	"repro/internal/device"
 )
 
-// mnaMatrix is the matrix interface elements stamp through: the dense
-// linalg.Matrix, the sparse linalg.Sparse (writes resolve against the
-// circuit's compiled sparsity pattern), and the pattern recorder that
-// discovers that pattern all satisfy it.
-type mnaMatrix interface {
-	Add(i, j int, v float64)
+// stamper is the one matrix target elements stamp through. Values live in
+// vals, addressed by slot: row-major i*n+j on the dense backend, the CSC
+// value index on the sparse one. Element stamp order and each element's
+// Add-call sequence depend only on topology and the analysis mode (mode 1:
+// transient, capacitor companions active; mode 0: DC), never on values, so
+// each stamp is resolved to its slot once: while seq is nil the stamper
+// captures (i, j, v) in call order for its owner to resolve — into the
+// solver's slot sequence, the sparsity pattern, or a forensic dense matrix
+// — and afterwards the k-th Add of a pass lands on the k-th recorded slot.
+type stamper struct {
+	vals     []float64
+	seq      []int32 // recorded slot sequence; nil while capturing
+	k        int     // next position in seq
+	captured []capturedStamp
+}
+
+type capturedStamp struct {
+	i, j int32
+	v    float64
+}
+
+// Add adds v to matrix entry (i, j). A replay that runs past seq means an
+// element stamped a value-dependent pattern — a bug; it panics on the index,
+// and solverState.endStamp catches the short case.
+func (s *stamper) Add(i, j int, v float64) {
+	if s.seq == nil {
+		s.captured = append(s.captured, capturedStamp{int32(i), int32(j), v})
+		return
+	}
+	s.vals[s.seq[s.k]] += v
+	s.k++
+}
+
+// drain hands every captured stamp to fn, in call order, and empties the
+// capture list.
+func (s *stamper) drain(fn func(i, j int, v float64)) {
+	for _, c := range s.captured {
+		fn(int(c.i), int(c.j), c.v)
+	}
+	s.captured = s.captured[:0]
 }
 
 // stampCtx carries the MNA system being assembled for one Newton iteration.
 type stampCtx struct {
-	g     mnaMatrix // conductance/incidence matrix
+	g     *stamper  // conductance/incidence matrix
 	b     []float64 // right-hand side
 	x     []float64 // current Newton iterate (node voltages + branch currents)
 	prev  []float64 // previous-timestep solution (nil for DC)
@@ -170,9 +204,7 @@ func (t *mosfet) stamp(ctx *stampCtx) {
 		if t.g != Ground {
 			ctx.g.Add(int(t.s), int(t.g), -gm)
 		}
-		if t.s != Ground {
-			ctx.g.Add(int(t.s), int(t.s), gm)
-		}
+		ctx.g.Add(int(t.s), int(t.s), gm)
 	}
 	// ieq flows from drain to source inside the device.
 	ctx.addI(t.d, t.s, ieq)

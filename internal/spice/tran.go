@@ -1,13 +1,29 @@
 package spice
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
+
+// maxTranSteps bounds the fixed-step count of one transient analysis. The
+// waveform is preallocated, so a window of absurdly many steps (or one
+// whose step count overflows an int) is rejected up front instead of
+// failing the allocation.
+const maxTranSteps = 1_000_000
 
 // Waveform holds the sampled results of a transient analysis.
 type Waveform struct {
 	Time    []float64
 	circuit *Circuit
-	// samples[i] is the full solution vector at Time[i].
-	samples [][]float64
+	// n is the solution-vector length; data holds the full solution
+	// vector at Time[i] in data[i*n : (i+1)*n].
+	n    int
+	data []float64
+}
+
+// sample returns the solution vector at Time[i].
+func (w *Waveform) sample(i int) []float64 {
+	return w.data[i*w.n : (i+1)*w.n : (i+1)*w.n]
 }
 
 // Transient runs a transient analysis from 0 to tstop with the given fixed
@@ -22,47 +38,54 @@ func (c *Circuit) Transient(tstop, dt float64) (*Waveform, error) {
 // share (or nearly share) their DC state, so seeding skips most of the gmin
 // ladder. A guess of the wrong length (or nil) is ignored.
 func (c *Circuit) TransientFrom(guess []float64, tstop, dt float64) (*Waveform, error) {
-	if dt <= 0 || tstop <= 0 {
+	if !(dt > 0) || !(tstop > 0) || math.IsInf(dt, 1) || math.IsInf(tstop, 1) {
 		return nil, fmt.Errorf("spice: invalid transient window tstop=%g dt=%g", tstop, dt)
 	}
-	if len(guess) != c.systemSize() {
+	nsteps := tstop/dt + 0.5
+	if !(nsteps <= maxTranSteps) {
+		return nil, fmt.Errorf("spice: transient window tstop=%g dt=%g needs %.3g steps, more than %d", tstop, dt, nsteps, maxTranSteps)
+	}
+	steps := int(nsteps)
+	n := c.systemSize()
+	if len(guess) != n {
 		guess = nil
 	}
-	x, err := c.opAt(0, nil, 0, guess)
-	if err != nil {
+	wf := &Waveform{
+		Time:    make([]float64, steps+1),
+		circuit: c,
+		n:       n,
+		data:    make([]float64, (steps+1)*n),
+	}
+	if err := c.opAt(wf.sample(0), 0, nil, 0, guess); err != nil {
 		return nil, fmt.Errorf("spice: initial operating point: %w", err)
 	}
-	wf := &Waveform{circuit: c}
-	record := func(t float64, sol []float64) {
-		wf.Time = append(wf.Time, t)
-		wf.samples = append(wf.samples, append([]float64(nil), sol...))
-	}
-	record(0, x)
-	steps := int(tstop/dt + 0.5)
+	var sub []float64 // quarter-step scratch, allocated on the first retry
 	for i := 1; i <= steps; i++ {
 		t := float64(i) * dt
-		next, err := c.opAt(t, x, dt, x)
-		if err != nil {
-			// Retry the step at a quarter of the stride for robustness
-			// around sharp input edges.
-			fine := dt / 4
-			cur := x
-			ok := true
-			for j := 1; j <= 4; j++ {
-				sub, errSub := c.opAt(t-dt+float64(j)*fine, cur, fine, cur)
-				if errSub != nil {
-					ok = false
-					break
-				}
-				cur = sub
+		wf.Time[i] = t
+		x, next := wf.sample(i-1), wf.sample(i)
+		err := c.opAt(next, t, x, dt, x)
+		if err == nil {
+			continue
+		}
+		// Retry the step at a quarter of the stride for robustness around
+		// sharp input edges, alternating between the scratch and the
+		// step's own row so the fourth sub-step lands in the row.
+		if sub == nil {
+			sub = make([]float64, n)
+		}
+		fine := dt / 4
+		cur := x
+		for j := 1; j <= 4; j++ {
+			dst := sub
+			if j%2 == 0 {
+				dst = next
 			}
-			if !ok {
+			if c.opAt(dst, t-dt+float64(j)*fine, cur, fine, cur) != nil {
 				return nil, fmt.Errorf("spice: transient step at t=%g: %w", t, err)
 			}
-			next = cur
+			cur = dst
 		}
-		record(t, next)
-		x = next
 	}
 	return wf, nil
 }
@@ -71,33 +94,33 @@ func (c *Circuit) TransientFrom(guess []float64, tstop, dt float64) (*Waveform, 
 // the warm-start seed a neighboring sweep point passes to TransientFrom
 // when the circuits share node ordering (same builder, different values).
 func (w *Waveform) InitialOp() []float64 {
-	if len(w.samples) == 0 {
+	if len(w.Time) == 0 {
 		return nil
 	}
-	return append([]float64(nil), w.samples[0]...)
+	return append([]float64(nil), w.sample(0)...)
 }
 
 // V returns the voltage waveform at the named node.
 func (w *Waveform) V(node string) []float64 {
 	id := w.circuit.Node(node)
-	out := make([]float64, len(w.samples))
+	out := make([]float64, len(w.Time))
 	if id == Ground {
 		return out
 	}
-	for i, s := range w.samples {
-		out[i] = s[id]
-	}
-	return out
+	return w.column(int(id), out)
 }
 
 // BranchCurrent returns the current waveform through the voltage source with
 // the given branch index, in the MNA convention (positive current flows from
 // the pos terminal through the source to the neg terminal).
 func (w *Waveform) BranchCurrent(branch int) []float64 {
-	n := w.circuit.NumNodes()
-	out := make([]float64, len(w.samples))
-	for i, s := range w.samples {
-		out[i] = s[n+branch]
+	return w.column(w.circuit.NumNodes()+branch, make([]float64, len(w.Time)))
+}
+
+// column fills out with unknown k of every sample.
+func (w *Waveform) column(k int, out []float64) []float64 {
+	for i := range out {
+		out[i] = w.sample(i)[k]
 	}
 	return out
 }

@@ -52,7 +52,7 @@ func (w *Waveform) WriteVCD(out io.Writer, date string, nodes []string) error {
 	for s := range w.Time {
 		enc.Time(int64(w.Time[s]*1e15 + 0.5))
 		for i, id := range ids {
-			enc.SetReal(vars[i], w.samples[s][id])
+			enc.SetReal(vars[i], w.sample(s)[id])
 		}
 	}
 	return enc.Close()

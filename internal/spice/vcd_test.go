@@ -135,7 +135,7 @@ func legacyWriteVCD(w *Waveform, out io.Writer, date string, nodes []string) err
 	for s := range w.Time {
 		stamped := false
 		for i, id := range ids {
-			v := w.samples[s][id]
+			v := w.sample(s)[id]
 			if s > 0 && v == last[i] {
 				continue
 			}
@@ -190,7 +190,7 @@ func syntheticWaveform() *Waveform {
 	c.Node("in")
 	c.Node("out")
 	c.Node("vdd")
-	wf := &Waveform{circuit: c}
+	wf := &Waveform{circuit: c, n: 3}
 	vals := [][3]float64{
 		{0, 0, 1.1},
 		{0.5, 0.25, 1.1},
@@ -200,7 +200,7 @@ func syntheticWaveform() *Waveform {
 	}
 	for s, v := range vals {
 		wf.Time = append(wf.Time, float64(s)*1e-12)
-		wf.samples = append(wf.samples, []float64{v[0], v[1], v[2]})
+		wf.data = append(wf.data, v[0], v[1], v[2])
 	}
 	return wf
 }
@@ -238,8 +238,9 @@ func TestWriteVCDQuietTail(t *testing.T) {
 	c := New(300)
 	c.Node("a")
 	wf := &Waveform{circuit: c,
-		Time:    []float64{0, 1e-12, 2e-12},
-		samples: [][]float64{{0.5}, {0.5}, {0.5}},
+		Time: []float64{0, 1e-12, 2e-12},
+		n:    1,
+		data: []float64{0.5, 0.5, 0.5},
 	}
 	var buf bytes.Buffer
 	if err := wf.WriteVCD(&buf, "", nil); err != nil {
