@@ -25,8 +25,8 @@ import (
 	"strings"
 
 	"repro/internal/epfl"
+	"repro/internal/flow"
 	"repro/internal/gsim"
-	"repro/internal/liberty"
 	"repro/internal/mapper"
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -34,7 +34,6 @@ import (
 	"repro/internal/power"
 	"repro/internal/sta"
 	"repro/internal/synth"
-	"repro/internal/testlib"
 )
 
 var flushObs = func() {}
@@ -68,8 +67,9 @@ func main() {
 	ctx, root := obs.Start(context.Background(), "cryosim")
 	defer root.End()
 
-	lib, cells := testlib.Build(pdk.Catalog(), testlib.Names(), *temp)
-	nl, err := load(ctx, flag.Arg(0), lib, cells, *seed)
+	corner, err := flow.LoadCorner(ctx, *temp, flow.Source{Testlib: true})
+	check(err)
+	nl, err := load(ctx, flag.Arg(0), corner.Matches, *seed)
 	check(err)
 	m, err := gsim.Compile(nl)
 	check(err)
@@ -83,7 +83,7 @@ func main() {
 	case "event":
 		opt := gsim.EventOptions{PeriodFs: *period}
 		if !*unit {
-			check(m.Annotate(ctx, lib, sta.Options{}))
+			check(m.Annotate(ctx, corner.Lib, sta.Options{}))
 		}
 		if *vcdPath != "" {
 			f, err := os.Create(*vcdPath)
@@ -119,7 +119,7 @@ func main() {
 	}
 
 	if *doPower {
-		rep, err := power.Analyze(ctx, nl, lib, power.Options{
+		rep, err := power.Analyze(ctx, nl, corner.Lib, power.Options{
 			ClockPeriod: *clock,
 			Activity:    res.Activity(),
 		})
@@ -162,13 +162,9 @@ func printHotNets(m *gsim.Model, res *gsim.Result, n int) {
 
 // load produces a mapped netlist: .v files are parsed over the PDK catalog,
 // epfl:<name> benchmarks are synthesized through the standard flow.
-func load(ctx context.Context, path string, lib *liberty.Library, cells []*pdk.Cell, seed int64) (*netlist.Netlist, error) {
+func load(ctx context.Context, path string, ml *mapper.MatchLibrary, seed int64) (*netlist.Netlist, error) {
 	if name, ok := strings.CutPrefix(path, "epfl:"); ok {
 		g, err := epfl.Build(name)
-		if err != nil {
-			return nil, err
-		}
-		ml, err := mapper.BuildMatchLibrary(lib, cells, 6)
 		if err != nil {
 			return nil, err
 		}

@@ -31,16 +31,14 @@ import (
 	"time"
 
 	"repro/internal/cec"
-	"repro/internal/charlib"
 	"repro/internal/epfl"
+	"repro/internal/flow"
 	"repro/internal/liberty"
 	"repro/internal/mapper"
 	"repro/internal/obs"
-	"repro/internal/pdk"
 	"repro/internal/power"
 	"repro/internal/sta"
 	"repro/internal/synth"
-	"repro/internal/testlib"
 )
 
 // flushObs is set once the obs flags are activated so that check() can dump
@@ -78,15 +76,8 @@ func main() {
 	ctx, root := obs.Start(context.Background(), "cryosynth")
 	defer root.End()
 
-	catalog := pdk.Catalog()
-	lib10, lib300, cells := loadLibraries(ctx, *useTest, *cacheDir, catalog)
-	ml10, err := mapper.BuildMatchLibrary(lib10, cells, 6)
-	check(err)
-	var ml300 *mapper.MatchLibrary
-	if *breakdown || *report != "" {
-		ml300, err = mapper.BuildMatchLibrary(lib300, cells, 6)
-		check(err)
-	}
+	c10, c300 := loadCorners(ctx, *useTest, *cacheDir)
+	lib10, lib300, ml10, ml300 := c10.Lib, c300.Lib, c10.Matches, c300.Matches
 
 	var verdicts []verifyRecord
 	if *verify {
@@ -134,30 +125,27 @@ func runTopConsumers(ctx context.Context, names []string, ml *mapper.MatchLibrar
 	}
 }
 
-func loadLibraries(ctx context.Context, useTest bool, cacheDir string, catalog []*pdk.Cell) (lib10, lib300 *liberty.Library, cells []*pdk.Cell) {
-	if useTest {
-		lib300, cells = testlib.Build(catalog, testlib.Names(), 300)
-		lib10, _ = testlib.Build(catalog, testlib.Names(), 10)
-		fmt.Printf("using synthetic test library (%d cells)\n", len(cells))
-		return lib10, lib300, cells
-	}
-	progress := func(done, total int) {
+// loadCorners loads the 300 K and 10 K corners, announcing which library
+// the run uses.
+func loadCorners(ctx context.Context, useTest bool, cacheDir string) (c10, c300 *flow.Corner) {
+	src := flow.Source{Testlib: useTest, CacheDir: cacheDir, Progress: func(done, total int) {
 		if done%25 == 0 || done == total {
 			fmt.Printf("  characterized %d/%d cells\n", done, total)
 		}
+	}}
+	load := func(temp float64) *flow.Corner {
+		if !useTest {
+			fmt.Printf("characterizing / loading %g K library...\n", temp)
+		}
+		c, err := flow.LoadCorner(ctx, temp, src)
+		check(err)
+		return c
 	}
-	var err error
-	fmt.Println("characterizing / loading 300 K library...")
-	lib300, err = charlib.CharacterizeLibraryCached(ctx,
-		charlib.DefaultCachePath(cacheDir, 300, len(catalog)), "cryo300k", catalog,
-		charlib.DefaultConfig(300), progress)
-	check(err)
-	fmt.Println("characterizing / loading 10 K library...")
-	lib10, err = charlib.CharacterizeLibraryCached(ctx,
-		charlib.DefaultCachePath(cacheDir, 10, len(catalog)), "cryo10k", catalog,
-		charlib.DefaultConfig(10), progress)
-	check(err)
-	return lib10, lib300, catalog
+	c300, c10 = load(300), load(10)
+	if useTest {
+		fmt.Printf("using synthetic test library (%d cells)\n", len(c300.Cells))
+	}
+	return c10, c300
 }
 
 // runFig3 reproduces Fig 3(a,b): per-circuit power savings and delay

@@ -12,12 +12,10 @@ import (
 	"sort"
 
 	"repro/internal/epfl"
-	"repro/internal/mapper"
-	"repro/internal/pdk"
+	"repro/internal/flow"
 	"repro/internal/power"
 	"repro/internal/sta"
 	"repro/internal/synth"
-	"repro/internal/testlib"
 )
 
 func main() {
@@ -28,11 +26,10 @@ func main() {
 
 	g, err := epfl.Build(*name)
 	exitOn(err)
-	catalog := pdk.Catalog()
-	lib, used := testlib.Build(catalog, testlib.Names(), 10)
-	ml, err := mapper.BuildMatchLibrary(lib, used, 6)
+	corner, err := flow.LoadCorner(ctx, 10, flow.Source{Testlib: true})
 	exitOn(err)
-	res, err := synth.Synthesize(ctx, g, ml, synth.Options{Scenario: synth.CryoPDA, Seed: 11})
+	lib := corner.Lib
+	res, err := synth.Synthesize(ctx, g, corner.Matches, synth.Options{Scenario: synth.CryoPDA, Seed: 11})
 	exitOn(err)
 	nl := res.Netlist
 	fmt.Printf("%s mapped: %d gates, area %.0f\n", g.Name, nl.NumGates(), nl.Area())

@@ -12,10 +12,8 @@ import (
 	"os"
 
 	"repro/internal/epfl"
-	"repro/internal/mapper"
-	"repro/internal/pdk"
+	"repro/internal/flow"
 	"repro/internal/synth"
-	"repro/internal/testlib"
 )
 
 func main() {
@@ -29,10 +27,9 @@ func main() {
 	fmt.Printf("circuit %s: %d inputs, %d outputs, %d AIG nodes, depth %d\n",
 		g.Name, g.NumPIs(), g.NumPOs(), g.NumNodes(), g.Depth())
 
-	catalog := pdk.Catalog()
-	lib, used := testlib.Build(catalog, testlib.Names(), 10)
-	ml, err := mapper.BuildMatchLibrary(lib, used, 6)
+	corner, err := flow.LoadCorner(ctx, 10, flow.Source{Testlib: true})
 	exitOn(err)
+	lib, ml := corner.Lib, corner.Matches
 
 	cmp, err := synth.Compare(ctx, g, ml, lib, synth.FlowOptions{Seed: 42})
 	exitOn(err)

@@ -8,7 +8,6 @@ package aig
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Lit is a literal: a variable index shifted left once, with the low bit
@@ -47,9 +46,6 @@ func (l Lit) NotIf(c bool) Lit {
 	}
 	return l
 }
-
-// Reg returns the positive-phase literal of the same variable.
-func (l Lit) Reg() Lit { return l &^ 1 }
 
 type node struct {
 	fan0, fan1 Lit   // fanins; fan0 >= fan1 for AND nodes. PIs: both = piMark
@@ -120,12 +116,6 @@ func (g *AIG) PO(i int) Lit { return g.pos[i] }
 
 // POName returns the name of the i-th primary output.
 func (g *AIG) POName(i int) string { return g.poNames[i] }
-
-// SetPO redirects the i-th primary output.
-func (g *AIG) SetPO(i int, l Lit) {
-	g.checkLit(l)
-	g.pos[i] = l
-}
 
 // IsPI reports whether the variable is a primary input.
 func (g *AIG) IsPI(v int) bool { return v >= 1 && v <= g.numPI }
@@ -293,31 +283,6 @@ func (g *AIG) Clone() *AIG {
 	for k, v := range g.strash {
 		out.strash[k] = v
 	}
-	return out
-}
-
-// TFOCone returns the set of variables in the transitive fanin cone of the
-// given literal (including PIs, excluding the constant), sorted.
-func (g *AIG) TFOCone(root Lit) []int {
-	seen := make(map[int]bool)
-	var stack []int
-	stack = append(stack, root.Var())
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if v == 0 || seen[v] {
-			continue
-		}
-		seen[v] = true
-		if g.IsAnd(v) {
-			stack = append(stack, g.nodes[v].fan0.Var(), g.nodes[v].fan1.Var())
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Ints(out)
 	return out
 }
 

@@ -142,3 +142,28 @@ func TestKnobRoundTrip(t *testing.T) {
 		t.Errorf("TBand magnitude clamp failed: %v", p.TBand)
 	}
 }
+
+// TestCalibrateObjectiveSeesEveryCard pins that each objective evaluation
+// scores the card it was given. On a single-temperature dataset every
+// evaluation hits the same temperature, so a model reused across
+// evaluations would keep the first card's temperature-derived threshold and
+// mobility; the reported objective at the optimum must equal the error of a
+// freshly built model for the same card.
+func TestCalibrateObjectiveSeesEveryCard(t *testing.T) {
+	silicon := measure.ReferenceSilicon(device.NFET, 31)
+	st := measure.NewStation(32)
+	st.FluctLo, st.FluctHi = 0, 0 // every point at exactly 300 K
+	plan := measure.PaperPlan()
+	plan.Temps = []float64{300}
+	ds := st.Measure(silicon, plan)
+
+	initial := device.NewN(1)
+	res := Calibrate(initial, ds, []Knob{KnobVth0, KnobDIBL}, st.NoiseFloor)
+	if res.Model.P.Vth0 == initial.P.Vth0 {
+		t.Fatal("calibration did not move Vth0")
+	}
+	fresh := LogRMSError(&device.Model{Type: device.NFET, P: res.Model.P}, ds, st.NoiseFloor)
+	if res.Residual != fresh {
+		t.Errorf("objective at the optimum = %v, fresh model for the same card = %v", res.Residual, fresh)
+	}
+}

@@ -1,8 +1,8 @@
 // Package gsim is the gate-level logic simulator of the flow: it executes a
 // technology-mapped netlist on concrete stimulus vectors, producing per-net
-// toggle counts (the measured switching activity that internal/power can
-// consume in place of its statistical model), VCD traces, and per-vector
-// primary-output values for functional signoff against AIG simulation.
+// toggle counts (the switching activity internal/power signs off with), VCD
+// traces, and per-vector primary-output values for functional signoff
+// against AIG simulation. It is the flow's only gate-level simulator.
 //
 // A netlist is first compiled (Compile) into a flat evaluation graph: nets
 // become dense indices, every gate carries its PDK truth table (the same
@@ -12,8 +12,8 @@
 //
 //   - the levelized engine (levelized.go) evaluates gates in topological
 //     order with 64-bit vector parallelism and zero delay — the fast
-//     functional/regression mode, bit-compatible with the random-vector
-//     activity model in netlist.ToggleRates;
+//     functional/regression mode, and the default activity source of
+//     power analysis and the mapped-netlist check in synth.VerifyMapped;
 //   - the event-driven engine (event.go) propagates individual value
 //     changes through a time-ordered event queue with per-arc transport
 //     delays annotated from the characterized liberty tables (delay.go), so
@@ -266,10 +266,8 @@ func evalTruth3(tt uint64, in []Value) Value {
 type Vector []bool
 
 // RandomVectors draws n uniform random vectors for the model's inputs,
-// deterministic for a seed. The bit stream is laid out exactly like
-// netlist.ToggleRates' word-parallel stimulus (per 64-vector round, one
-// fresh word per input in port order), so a zero-delay gsim run over these
-// vectors measures the same activity the statistical model simulates.
+// deterministic for a seed: per 64-vector round, one fresh word per input
+// in port order, vector b taking bit b of each word.
 func (m *Model) RandomVectors(n int, seed int64) []Vector {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]Vector, n)
@@ -338,21 +336,11 @@ func (r *Result) TotalToggles() int64 {
 	return n
 }
 
-// Activity packages measured per-net toggle densities as a
-// power.ActivitySource (the interface is satisfied structurally, keeping
-// gsim free of a power dependency).
+// Activity is a run's measured per-net toggle densities (transitions per
+// vector, keyed by net name): the form power.Options.Activity consumes.
 type Activity struct {
 	Rates map[string]float64
 }
 
-// NetActivity returns the measured rates; the netlist argument is the
-// design the rates were measured on and is only used for validation.
-func (a Activity) NetActivity(nl *netlist.Netlist) (map[string]float64, error) {
-	if a.Rates == nil {
-		return nil, fmt.Errorf("gsim: empty activity")
-	}
-	return a.Rates, nil
-}
-
-// Activity returns the run's measured activity in power.ActivitySource form.
+// Activity returns the run's measured activity.
 func (r *Result) Activity() Activity { return Activity{Rates: r.ToggleRates()} }

@@ -1,15 +1,15 @@
-package gsim
+package gsim_test
 
 import (
 	"bytes"
 	"context"
-	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/aig"
 	"repro/internal/epfl"
+	"repro/internal/gsim"
 	"repro/internal/liberty"
 	"repro/internal/mapper"
 	"repro/internal/netlist"
@@ -62,7 +62,7 @@ var smokeCircuits = []string{"ctrl", "dec", "int2float"}
 
 // aigOutputBits simulates the source AIG over the same vectors, returning
 // per-vector output values keyed by PO name.
-func aigOutputBits(t *testing.T, g *aig.AIG, m *Model, vectors []Vector) [][]bool {
+func aigOutputBits(t *testing.T, g *aig.AIG, m *gsim.Model, vectors []gsim.Vector) [][]bool {
 	t.Helper()
 	// Map the model's input order onto AIG PI order by name.
 	piPos := make([]int, g.NumPIs())
@@ -143,30 +143,30 @@ func TestEngineCrossCheck(t *testing.T) {
 	for _, name := range smokeCircuits {
 		t.Run(name, func(t *testing.T) {
 			c := buildMapped(t, name)
-			m, err := Compile(c.nl)
+			m, err := gsim.Compile(c.nl)
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
 			vectors := m.RandomVectors(256, 42)
 
-			lev, err := NewLevelized(m).Run(ctx, vectors)
+			lev, err := gsim.NewLevelized(m).Run(ctx, vectors)
 			if err != nil {
 				t.Fatalf("levelized: %v", err)
 			}
-			evt, err := NewEvent(m, EventOptions{}).Run(ctx, vectors)
+			evt, err := gsim.NewEvent(m, gsim.EventOptions{}).Run(ctx, vectors)
 			if err != nil {
 				t.Fatalf("event: %v", err)
 			}
 			if err := m.Annotate(ctx, c.lib, sta.Options{}); err != nil {
 				t.Fatalf("annotate: %v", err)
 			}
-			ann, err := NewEvent(m, EventOptions{}).Run(ctx, vectors)
+			ann, err := gsim.NewEvent(m, gsim.EventOptions{}).Run(ctx, vectors)
 			if err != nil {
 				t.Fatalf("event annotated: %v", err)
 			}
 			ref := aigOutputBits(t, c.g, m, vectors)
 
-			for _, r := range []*Result{evt, ann} {
+			for _, r := range []*gsim.Result{evt, ann} {
 				if v, o, ok := diffBits(lev.OutputBits, r.OutputBits); !ok {
 					t.Errorf("%s: vector %d output %s: levelized=%v %s=%v",
 						r.Engine, v, m.OutputNames[o], lev.OutputBits[v][o], r.Engine, r.OutputBits[v][o])
@@ -177,7 +177,7 @@ func TestEngineCrossCheck(t *testing.T) {
 			}
 
 			// The settled state after the last vector must agree net-by-net.
-			for _, r := range []*Result{evt, ann} {
+			for _, r := range []*gsim.Result{evt, ann} {
 				for i := range m.Nets {
 					if r.Final[i] != lev.Final[i] {
 						t.Errorf("%s: net %s settled to %s, levelized %s",
@@ -223,20 +223,20 @@ func glitchFixture(t *testing.T) *netlist.Netlist {
 
 func TestGlitchFixture(t *testing.T) {
 	ctx := context.Background()
-	m, err := Compile(glitchFixture(t))
+	m, err := gsim.Compile(glitchFixture(t))
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	// Alternate a: 0,1,0,1,... — seven edges.
-	vectors := make([]Vector, 8)
+	vectors := make([]gsim.Vector, 8)
 	for v := range vectors {
-		vectors[v] = Vector{v%2 == 1}
+		vectors[v] = gsim.Vector{v%2 == 1}
 	}
-	lev, err := NewLevelized(m).Run(ctx, vectors)
+	lev, err := gsim.NewLevelized(m).Run(ctx, vectors)
 	if err != nil {
 		t.Fatalf("levelized: %v", err)
 	}
-	evt, err := NewEvent(m, EventOptions{}).Run(ctx, vectors)
+	evt, err := gsim.NewEvent(m, gsim.EventOptions{}).Run(ctx, vectors)
 	if err != nil {
 		t.Fatalf("event: %v", err)
 	}
@@ -256,69 +256,6 @@ func TestGlitchFixture(t *testing.T) {
 	}
 }
 
-func TestEvalTruth3(t *testing.T) {
-	const (
-		and2 = uint64(0b1000)
-		or2  = uint64(0b1110)
-		xor2 = uint64(0b0110)
-		buf  = uint64(0b10)
-	)
-	cases := []struct {
-		name string
-		tt   uint64
-		in   []Value
-		want Value
-	}{
-		{"and(1,1)", and2, []Value{V1, V1}, V1},
-		{"and(0,x)", and2, []Value{V0, VX}, V0},
-		{"and(x,0)", and2, []Value{VX, V0}, V0},
-		{"and(1,x)", and2, []Value{V1, VX}, VX},
-		{"or(1,x)", or2, []Value{V1, VX}, V1},
-		{"or(0,x)", or2, []Value{V0, VX}, VX},
-		{"xor(x,0)", xor2, []Value{VX, V0}, VX},
-		{"xor(x,x)", xor2, []Value{VX, VX}, VX},
-		{"buf(x)", buf, []Value{VX}, VX},
-		{"buf(1)", buf, []Value{V1}, V1},
-	}
-	for _, c := range cases {
-		if got := evalTruth3(c.tt, c.in); got != c.want {
-			t.Errorf("%s = %s, want %s", c.name, got, c.want)
-		}
-	}
-}
-
-// TestActivityMatchesToggleRates pins the stimulus-stream compatibility the
-// power flow relies on: a zero-delay gsim run over RandomVectors measures
-// exactly the activity netlist.ToggleRates models for the same seed.
-func TestActivityMatchesToggleRates(t *testing.T) {
-	c := buildMapped(t, "ctrl")
-	m, err := Compile(c.nl)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	const rounds, seed = 4, 7
-	vectors := m.RandomVectors(rounds*64, seed)
-	res, err := NewLevelized(m).Run(context.Background(), vectors)
-	if err != nil {
-		t.Fatalf("levelized: %v", err)
-	}
-	measured := res.ToggleRates()
-	model, err := c.nl.ToggleRates(rounds, seed)
-	if err != nil {
-		t.Fatalf("ToggleRates: %v", err)
-	}
-	for net, want := range model {
-		if got := measured[net]; math.Abs(got-want) > 1e-12 {
-			t.Errorf("net %s: measured %g, model %g", net, got, want)
-		}
-	}
-	for net := range measured {
-		if _, ok := model[net]; !ok && measured[net] != 0 {
-			t.Errorf("net %s measured %g but absent from model", net, measured[net])
-		}
-	}
-}
-
 func TestCompileRejectsDoubleDriver(t *testing.T) {
 	nl := netlist.New("bad", pdk.Catalog())
 	nl.Inputs = []string{"a"}
@@ -329,22 +266,22 @@ func TestCompileRejectsDoubleDriver(t *testing.T) {
 	if err := nl.AddGate("BUFx1", []string{"a"}, "y"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compile(nl); err == nil || !strings.Contains(err.Error(), "driven twice") {
-		t.Errorf("Compile = %v, want double-driver error", err)
+	if _, err := gsim.Compile(nl); err == nil || !strings.Contains(err.Error(), "driven twice") {
+		t.Errorf("gsim.Compile = %v, want double-driver error", err)
 	}
 }
 
 // TestEventVCDTrace smoke-checks the digital VCD path: scalar declarations,
 // the all-X initial dump, and glitch pulses all land in the stream.
 func TestEventVCDTrace(t *testing.T) {
-	m, err := Compile(glitchFixture(t))
+	m, err := gsim.Compile(glitchFixture(t))
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	var buf bytes.Buffer
-	tr := NewVCDTracer(&buf, m, "test")
-	vectors := []Vector{{false}, {true}, {false}}
-	if _, err := NewEvent(m, EventOptions{Trace: tr}).Run(context.Background(), vectors); err != nil {
+	tr := gsim.NewVCDTracer(&buf, m, "test")
+	vectors := []gsim.Vector{{false}, {true}, {false}}
+	if _, err := gsim.NewEvent(m, gsim.EventOptions{Trace: tr}).Run(context.Background(), vectors); err != nil {
 		t.Fatalf("event: %v", err)
 	}
 	if err := tr.Close(); err != nil {

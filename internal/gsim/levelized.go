@@ -20,9 +20,7 @@ type Engine interface {
 
 // levelized is the zero-delay compiled engine: gates evaluate once per
 // vector in topological order, 64 vectors at a time in word-parallel
-// planes. It is the functional/regression mode — fast, two-valued, and
-// bit-compatible with netlist.ToggleRates' activity measurement when fed
-// the same stimulus stream.
+// planes. It is the functional/regression mode — fast and two-valued.
 type levelized struct {
 	m *Model
 }

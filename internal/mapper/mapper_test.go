@@ -3,9 +3,11 @@ package mapper
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/aig"
+	"repro/internal/gsim"
 	"repro/internal/netlist"
 	"repro/internal/pdk"
 	"repro/internal/testlib"
@@ -128,9 +130,13 @@ func piName(i int) string { return "pi" + string(rune('a'+i)) }
 func poName(i int) string { return "po" + string(rune('a'+i)) }
 
 // verifyMapped checks the netlist realizes the AIG on 6*64 random vectors
-// (exhaustive for <= 6 inputs).
+// (exhaustive for <= 6 inputs), simulating it with gsim.
 func verifyMapped(t *testing.T, g *aig.AIG, nl *netlist.Netlist) {
 	t.Helper()
+	m, err := gsim.Compile(nl)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
 	rng := rand.New(rand.NewSource(99))
 	for round := 0; round < 6; round++ {
 		words := make([]uint64, g.NumPIs())
@@ -142,18 +148,22 @@ func verifyMapped(t *testing.T, g *aig.AIG, nl *netlist.Netlist) {
 			}
 			in[g.PIName(i)] = words[i]
 		}
+		inWords := make([]uint64, len(m.InputNames))
+		for j, name := range m.InputNames {
+			inWords[j] = in[name]
+		}
 		vals := g.SimWords(words)
-		netVals, err := nl.SimulateWords(in)
+		netVals, err := m.SimWords(inWords)
 		if err != nil {
 			t.Fatalf("netlist sim: %v", err)
 		}
 		for i := 0; i < g.NumPOs(); i++ {
-			want := aig.EvalLit(vals, g.PO(i))
-			got, ok := netVals[nl.Resolve(g.POName(i))]
-			if !ok {
-				t.Fatalf("output %s undriven", g.POName(i))
+			o := slices.Index(m.OutputNames, g.POName(i))
+			if o < 0 {
+				t.Fatalf("output %s missing", g.POName(i))
 			}
-			if got != want {
+			want := aig.EvalLit(vals, g.PO(i))
+			if got := netVals[m.Outputs[o]]; got != want {
 				t.Fatalf("round %d output %s: netlist %x != aig %x", round, g.POName(i), got, want)
 			}
 		}

@@ -1,14 +1,12 @@
 // Package netlist represents technology-mapped gate-level netlists: the
 // output of the technology mapper and the input to the STA and power
-// analysis engines. It supports functional simulation (used both to verify
-// mapping correctness against the source AIG and to extract switching
-// activity) and structural Verilog export.
+// analysis engines. It supports structural Verilog import and export;
+// internal/gsim simulates it.
 package netlist
 
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 	"strings"
 
@@ -109,125 +107,12 @@ func (n *Netlist) Fanouts() map[string][][2]int {
 	return out
 }
 
-// SimulateWords runs 64-bit-parallel simulation: in maps each primary input
-// to a stimulus word. It returns the value of every net.
-func (n *Netlist) SimulateWords(in map[string]uint64) (map[string]uint64, error) {
-	vals := make(map[string]uint64, len(in)+len(n.Gates)+2)
-	vals[Const0] = 0
-	vals[Const1] = ^uint64(0)
-	for k, v := range in {
-		vals[k] = v
-	}
-	for _, g := range n.Gates {
-		def := n.cellIndex[g.Cell]
-		tt, ok := def.Truth(def.Outputs[0])
-		if !ok {
-			return nil, fmt.Errorf("netlist: cell %s has no truth table", g.Cell)
-		}
-		var out uint64
-		// Evaluate bit-parallel via Shannon: for each input pattern index of
-		// the cell, select stimulus bits matching it.
-		inWords := make([]uint64, len(g.Inputs))
-		for i, net := range g.Inputs {
-			w, ok := vals[net]
-			if !ok {
-				return nil, fmt.Errorf("netlist: net %s used before driven (gate %s)", net, g.Name)
-			}
-			inWords[i] = w
-		}
-		for row := 0; row < 1<<uint(len(inWords)); row++ {
-			if tt&(1<<uint(row)) == 0 {
-				continue
-			}
-			sel := ^uint64(0)
-			for i, w := range inWords {
-				if row&(1<<uint(i)) != 0 {
-					sel &= w
-				} else {
-					sel &= ^w
-				}
-			}
-			out |= sel
-		}
-		vals[g.Output] = out
-	}
-	return vals, nil
-}
-
 // Resolve returns the driving net for a name, following output aliases.
 func (n *Netlist) Resolve(name string) string {
 	if d, ok := n.Aliases[name]; ok {
 		return d
 	}
 	return name
-}
-
-// Eval computes primary-output values for one input assignment.
-func (n *Netlist) Eval(in map[string]bool) (map[string]bool, error) {
-	words := make(map[string]uint64, len(in))
-	for k, v := range in {
-		if v {
-			words[k] = ^uint64(0)
-		} else {
-			words[k] = 0
-		}
-	}
-	vals, err := n.SimulateWords(words)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]bool, len(n.Outputs))
-	for _, o := range n.Outputs {
-		w, ok := vals[n.Resolve(o)]
-		if !ok {
-			return nil, fmt.Errorf("netlist: output %s undriven", o)
-		}
-		out[o] = w&1 != 0
-	}
-	return out, nil
-}
-
-// ToggleRates estimates per-net toggle rates (transitions per cycle) under
-// random input stimulus: rounds*64 vectors, deterministic for a seed.
-func (n *Netlist) ToggleRates(rounds int, seed int64) (map[string]float64, error) {
-	rng := rand.New(rand.NewSource(seed))
-	rates := make(map[string]float64)
-	var prev map[string]uint64
-	total := 0
-	for r := 0; r < rounds; r++ {
-		in := make(map[string]uint64, len(n.Inputs))
-		for _, name := range n.Inputs {
-			in[name] = rng.Uint64()
-		}
-		vals, err := n.SimulateWords(in)
-		if err != nil {
-			return nil, err
-		}
-		for net, w := range vals {
-			flips := popcount((w ^ (w << 1)) &^ 1)
-			if prev != nil {
-				if (prev[net]>>63)&1 != w&1 {
-					flips++
-				}
-			}
-			rates[net] += float64(flips)
-		}
-		prev = vals
-		total += 64
-	}
-	for net := range rates {
-		rates[net] /= float64(total)
-	}
-	return rates, nil
-}
-
-func popcount(x uint64) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
 }
 
 // WriteVerilog emits the netlist as structural Verilog.

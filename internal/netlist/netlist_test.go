@@ -1,18 +1,21 @@
-package netlist
+package netlist_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/gsim"
+	"repro/internal/netlist"
 	"repro/internal/pdk"
 )
 
 var catalog = pdk.Catalog()
 
-func simpleNetlist(t *testing.T) *Netlist {
+func simpleNetlist(t *testing.T) *netlist.Netlist {
 	t.Helper()
-	nl := New("simple", catalog)
+	nl := netlist.New("simple", catalog)
 	nl.Inputs = []string{"a", "b"}
 	if err := nl.AddGate("NAND2x1", []string{"a", "b"}, "n1"); err != nil {
 		t.Fatal(err)
@@ -25,37 +28,69 @@ func simpleNetlist(t *testing.T) *Netlist {
 	return nl
 }
 
+// compile builds the gsim model of a netlist, failing the test on error.
+func compile(t *testing.T, nl *netlist.Netlist) *gsim.Model {
+	t.Helper()
+	m, err := gsim.Compile(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// eval computes the primary outputs for one input assignment with gsim's
+// levelized engine.
+func eval(t *testing.T, nl *netlist.Netlist, in map[string]bool) map[string]bool {
+	t.Helper()
+	m := compile(t, nl)
+	vec := make(gsim.Vector, len(m.InputNames))
+	for i, name := range m.InputNames {
+		vec[i] = in[name]
+	}
+	res, err := gsim.NewLevelized(m).Run(context.Background(), []gsim.Vector{vec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]bool, len(m.OutputNames))
+	for o, name := range m.OutputNames {
+		out[name] = res.OutputBits[0][o]
+	}
+	return out
+}
+
 func TestEvalAndGate(t *testing.T) {
 	nl := simpleNetlist(t)
 	for idx := 0; idx < 4; idx++ {
 		in := map[string]bool{"a": idx&1 != 0, "b": idx&2 != 0}
-		out, err := nl.Eval(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out["y"] != (in["a"] && in["b"]) {
+		if out := eval(t, nl, in); out["y"] != (in["a"] && in["b"]) {
 			t.Errorf("y(%v) = %v", in, out["y"])
 		}
 	}
 }
 
-func TestSimulateWordsMatchesBitwise(t *testing.T) {
-	nl := simpleNetlist(t)
-	in := map[string]uint64{"a": 0b1100, "b": 0b1010}
-	vals, err := nl.SimulateWords(in)
+func TestSimWordsMatchesBitwise(t *testing.T) {
+	m := compile(t, simpleNetlist(t))
+	vals, err := m.SimWords([]uint64{0b1100, 0b1010}) // a, b
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vals["n2"]&0xF != 0b1000 {
-		t.Errorf("AND word = %b", vals["n2"]&0xF)
+	word := func(net string) uint64 {
+		i, ok := m.NetIndex(net)
+		if !ok {
+			t.Fatalf("net %s missing", net)
+		}
+		return vals[i] & 0xF
 	}
-	if vals["n1"]&0xF != 0b0111 {
-		t.Errorf("NAND word = %b", vals["n1"]&0xF)
+	if w := word("n2"); w != 0b1000 {
+		t.Errorf("AND word = %b", w)
+	}
+	if w := word("n1"); w != 0b0111 {
+		t.Errorf("NAND word = %b", w)
 	}
 }
 
 func TestAddGateValidation(t *testing.T) {
-	nl := New("bad", catalog)
+	nl := netlist.New("bad", catalog)
 	if err := nl.AddGate("NOPE", []string{"a"}, "y"); err == nil {
 		t.Error("unknown cell accepted")
 	}
@@ -65,20 +100,21 @@ func TestAddGateValidation(t *testing.T) {
 }
 
 func TestUseBeforeDriveDetected(t *testing.T) {
-	nl := New("order", catalog)
+	nl := netlist.New("order", catalog)
 	nl.Inputs = []string{"a"}
 	nl.AddGate("INVx1", []string{"ghost"}, "n1")
-	if _, err := nl.SimulateWords(map[string]uint64{"a": 1}); err == nil {
+	if _, err := gsim.Compile(nl); err == nil {
 		t.Error("undriven net not detected")
 	}
 }
 
-func TestToggleRates(t *testing.T) {
-	nl := simpleNetlist(t)
-	rates, err := nl.ToggleRates(8, 3)
+func TestToggleRatesUnderRandomStimulus(t *testing.T) {
+	m := compile(t, simpleNetlist(t))
+	res, err := gsim.NewLevelized(m).Run(context.Background(), m.RandomVectors(8*64, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	rates := res.ToggleRates()
 	// Random inputs toggle with rate ~0.5; the AND output toggles at
 	// ~2*(1/4)*(3/4) = 0.375.
 	if math.Abs(rates["a"]-0.5) > 0.06 {
@@ -129,7 +165,7 @@ func TestWriteVerilog(t *testing.T) {
 }
 
 func TestFanouts(t *testing.T) {
-	nl := New("fan", catalog)
+	nl := netlist.New("fan", catalog)
 	nl.Inputs = []string{"a"}
 	nl.AddGate("INVx1", []string{"a"}, "n1")
 	nl.AddGate("INVx1", []string{"n1"}, "n2")
@@ -149,7 +185,7 @@ func TestVerilogRoundTrip(t *testing.T) {
 	if err := nl.WriteVerilog(&sb); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadVerilog(strings.NewReader(sb.String()), catalog)
+	back, err := netlist.ReadVerilog(strings.NewReader(sb.String()), catalog)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, sb.String())
 	}
@@ -159,14 +195,7 @@ func TestVerilogRoundTrip(t *testing.T) {
 	// Functional equivalence over all input vectors.
 	for idx := 0; idx < 4; idx++ {
 		in := map[string]bool{"a": idx&1 != 0, "b": idx&2 != 0}
-		w1, err := nl.Eval(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w2, err := back.Eval(in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w1, w2 := eval(t, nl, in), eval(t, back, in)
 		for _, o := range nl.Outputs {
 			if w1[o] != w2[o] {
 				t.Fatalf("output %s differs after round trip at %v", o, in)
@@ -184,7 +213,7 @@ func TestReadVerilogRejectsGarbage(t *testing.T) {
 		"wire w; module m (a); endmodule",                    // decl before module
 	}
 	for _, src := range cases {
-		if _, err := ReadVerilog(strings.NewReader(src), catalog); err == nil {
+		if _, err := netlist.ReadVerilog(strings.NewReader(src), catalog); err == nil {
 			t.Errorf("accepted %q", src)
 		}
 	}
@@ -201,7 +230,7 @@ NAND2x1 g0 (.A(a), .B(1'b1), .Y(n1));
 assign y = n1;
 assign z = 1'b0;
 endmodule`
-	nl, err := ReadVerilog(strings.NewReader(src), catalog)
+	nl, err := netlist.ReadVerilog(strings.NewReader(src), catalog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +239,7 @@ endmodule`
 	}
 	// y = NAND(a, 1) = !a; z = 0 always.
 	for _, a := range []bool{false, true} {
-		out, err := nl.Eval(map[string]bool{"a": a})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out["y"] != !a || out["z"] != false {
+		if out := eval(t, nl, map[string]bool{"a": a}); out["y"] != !a || out["z"] != false {
 			t.Errorf("a=%v: got y=%v z=%v", a, out["y"], out["z"])
 		}
 	}
@@ -229,7 +254,7 @@ func TestReadVerilogRejectsBadConstants(t *testing.T) {
 		"module m (a); input a; INVx1 g0 (.A(a), .Y(1'b0)); endmodule",
 	}
 	for _, src := range cases {
-		if _, err := ReadVerilog(strings.NewReader(src), catalog); err == nil {
+		if _, err := netlist.ReadVerilog(strings.NewReader(src), catalog); err == nil {
 			t.Errorf("accepted %q", src)
 		}
 	}
@@ -246,7 +271,7 @@ func TestReadVerilogErrorsCarryLineNumbers(t *testing.T) {
 		{"module m (a, y);\ninput a;\noutput y;\nINVx1 g0 (.Y(y));\nendmodule", "line 4"},
 	}
 	for _, tc := range cases {
-		_, err := ReadVerilog(strings.NewReader(tc.src), catalog)
+		_, err := netlist.ReadVerilog(strings.NewReader(tc.src), catalog)
 		if err == nil {
 			t.Errorf("accepted %q", tc.src)
 			continue
@@ -265,7 +290,7 @@ func TestCheckCleanNetlist(t *testing.T) {
 }
 
 func TestCheckFindsProblems(t *testing.T) {
-	nl := New("broken", catalog)
+	nl := netlist.New("broken", catalog)
 	nl.Inputs = []string{"a"}
 	nl.AddGate("INVx1", []string{"ghost"}, "n1") // bad order: ghost undriven
 	nl.AddGate("INVx1", []string{"a"}, "n1")     // multi-driver on n1
@@ -291,7 +316,7 @@ func TestCheckMappedCircuitsClean(t *testing.T) {
 	if err := nl.WriteVerilog(&sb); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadVerilog(strings.NewReader(sb.String()), catalog)
+	back, err := netlist.ReadVerilog(strings.NewReader(sb.String()), catalog)
 	if err != nil {
 		t.Fatal(err)
 	}

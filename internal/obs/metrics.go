@@ -172,15 +172,6 @@ func (h *Histogram) Max() float64 {
 	return math.Float64frombits(h.maxBits.Load())
 }
 
-// Mean returns the average observation (0 when empty).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // Quantile estimates the q-th quantile (q in [0,1]) by rank interpolation
 // inside the logarithmic buckets; exact at the extremes (min/max). The
 // estimate is within one bucket (≈26% relative) of the true value.
@@ -276,19 +267,6 @@ func (r *Registry) CounterValues() map[string]int64 {
 	}
 	r.counters.Range(func(k, v any) bool {
 		out[k.(string)] = v.(*Counter).Value()
-		return true
-	})
-	return out
-}
-
-// GaugeValues snapshots all gauges by name.
-func (r *Registry) GaugeValues() map[string]float64 {
-	out := map[string]float64{}
-	if r == nil {
-		return out
-	}
-	r.gauges.Range(func(k, v any) bool {
-		out[k.(string)] = v.(*Gauge).Value()
 		return true
 	})
 	return out

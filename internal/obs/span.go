@@ -23,10 +23,6 @@ func Str(k, v string) Attr { return Attr{Key: k, Val: v} }
 // Int builds an integer attribute.
 func Int(k string, v int) Attr { return Attr{Key: k, Val: strconv.Itoa(v)} }
 
-// F64 builds a float attribute, rendered at full precision (shortest
-// round-trip form) so counter-delta attrs do not silently truncate.
-func F64(k string, v float64) Attr { return Attr{Key: k, Val: strconv.FormatFloat(v, 'g', -1, 64)} }
-
 // Span is one timed region of the flow. Spans form a tree: children are
 // created by calling Start with the context returned by the parent's Start.
 // A nil *Span is valid and ignores every method call, which is what Start

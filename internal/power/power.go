@@ -1,7 +1,7 @@
 // Package power implements signoff-style power analysis of mapped netlists:
 // leakage, internal, and net-switching power, split exactly the way the
-// paper's Fig. 2(c) reports them. Switching activity comes from
-// random-vector simulation of the netlist; slews and loads come from STA.
+// paper's Fig. 2(c) reports them. Switching activity comes from a gsim
+// simulation of the netlist; slews and loads come from STA.
 package power
 
 import (
@@ -9,31 +9,27 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/gsim"
 	"repro/internal/liberty"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/sta"
 )
 
-// ActivitySource supplies per-net switching activity (toggles per cycle,
-// keyed by net name) for a netlist, replacing the built-in random-vector
-// statistical model. internal/gsim's measured Result.Activity satisfies it
-// structurally, so simulated vector traces — glitches included — can drive
-// the same power report.
-type ActivitySource interface {
-	NetActivity(nl *netlist.Netlist) (map[string]float64, error)
-}
+// simRounds is the number of 64-vector rounds of random stimulus the
+// default activity run simulates.
+const simRounds = 8
 
 // Options configures a power run.
 type Options struct {
 	ClockPeriod float64 // cycle time used to convert per-cycle energy to watts
-	SimRounds   int     // 64-vector rounds for activity extraction (default 8)
-	Seed        int64
+	Seed        int64   // stimulus seed of the default activity run
 	STA         sta.Options
-	// Activity, when non-nil, overrides the random-vector activity model
-	// (SimRounds/Seed are then unused). Nets absent from the source are
-	// treated as quiet.
-	Activity ActivitySource
+	// Activity, when it carries rates, overrides the default zero-delay
+	// random-vector run (Seed is then unused): pass a gsim Result.Activity
+	// to sign off with measured — e.g. glitch-aware event-driven —
+	// activity. Nets absent from it are treated as quiet.
+	Activity gsim.Activity
 }
 
 // Report is the power breakdown in watts.
@@ -77,26 +73,24 @@ func AnalyzeFull(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library,
 	if opt.ClockPeriod <= 0 {
 		return nil, nil, fmt.Errorf("power: clock period must be positive")
 	}
-	if opt.SimRounds == 0 {
-		opt.SimRounds = 8
-	}
 	timing, err := sta.Analyze(ctx, nl, lib, opt.STA)
 	if err != nil {
 		return nil, nil, err
 	}
-	var rates map[string]float64
-	if opt.Activity != nil {
-		rates, err = opt.Activity.NetActivity(nl)
-		if err != nil {
-			return nil, nil, fmt.Errorf("power: activity source: %w", err)
-		}
+	rates := opt.Activity.Rates
+	if rates != nil {
 		span.SetAttr("activity", "measured")
 		obs.C("power.measured_activity").Inc()
 	} else {
-		rates, err = nl.ToggleRates(opt.SimRounds, opt.Seed)
+		m, err := gsim.Compile(nl)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("power: %w", err)
 		}
+		res, err := gsim.NewLevelized(m).Run(ctx, m.RandomVectors(simRounds*64, opt.Seed))
+		if err != nil {
+			return nil, nil, fmt.Errorf("power: %w", err)
+		}
+		rates = res.ToggleRates()
 	}
 	rep := &Report{ClockPeriod: opt.ClockPeriod}
 	freq := 1.0 / opt.ClockPeriod

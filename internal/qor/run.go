@@ -7,17 +7,13 @@ import (
 	"time"
 
 	"repro/internal/aig"
-	"repro/internal/charlib"
 	"repro/internal/epfl"
-	"repro/internal/liberty"
-	"repro/internal/mapper"
+	"repro/internal/flow"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/pdk"
 	"repro/internal/power"
 	"repro/internal/sta"
 	"repro/internal/synth"
-	"repro/internal/testlib"
 )
 
 // RunOptions configures one cryobench recording run.
@@ -184,44 +180,15 @@ func padTo(s []float64, rep int) []float64 {
 	return s
 }
 
-// cornerLib pairs a temperature with its characterized library and match
-// library.
-type cornerLib struct {
-	tempK float64
-	lib   *liberty.Library
-	ml    *mapper.MatchLibrary
-}
-
-func loadCorners(ctx context.Context, opt RunOptions) ([]cornerLib, error) {
-	catalog := pdk.Catalog()
-	out := make([]cornerLib, 0, len(opt.Profile.Corners))
+func loadCorners(ctx context.Context, opt RunOptions) ([]*flow.Corner, error) {
+	src := flow.Source{Testlib: opt.UseTestlib, CacheDir: opt.CacheDir, Workers: opt.Workers}
+	out := make([]*flow.Corner, 0, len(opt.Profile.Corners))
 	for _, temp := range opt.Profile.Corners {
-		var lib *liberty.Library
-		var cells []*pdk.Cell
-		if opt.UseTestlib {
-			lib, cells = testlib.Build(catalog, testlib.Names(), temp)
-		} else {
-			cacheDir := opt.CacheDir
-			if cacheDir == "" {
-				cacheDir = "build"
-			}
-			cfg := charlib.DefaultConfig(temp)
-			cfg.Workers = opt.Workers
-			var err error
-			lib, err = charlib.CharacterizeLibraryCached(ctx,
-				charlib.DefaultCachePath(cacheDir, temp, len(catalog)),
-				fmt.Sprintf("cryo%gk", temp), catalog,
-				cfg, nil)
-			if err != nil {
-				return nil, fmt.Errorf("qor: characterizing %g K corner: %w", temp, err)
-			}
-			cells = catalog
-		}
-		ml, err := mapper.BuildMatchLibrary(lib, cells, 6)
+		c, err := flow.LoadCorner(ctx, temp, src)
 		if err != nil {
-			return nil, fmt.Errorf("qor: match library at %g K: %w", temp, err)
+			return nil, fmt.Errorf("qor: %w", err)
 		}
-		out = append(out, cornerLib{tempK: temp, lib: lib, ml: ml})
+		out = append(out, c)
 	}
 	return out, nil
 }
@@ -232,34 +199,34 @@ const DefaultTopPaths = 3
 
 // runOnce runs the full flow for one (circuit, scenario) repetition across
 // all corners and returns the QoR record.
-func runOnce(ctx context.Context, g *aig.AIG, sc synth.Scenario, corners []cornerLib, opt RunOptions) (*Circuit, error) {
+func runOnce(ctx context.Context, g *aig.AIG, sc synth.Scenario, corners []*flow.Corner, opt RunOptions) (*Circuit, error) {
 	topK := opt.TopPaths
 	if topK == 0 {
 		topK = DefaultTopPaths
 	}
 	rec := &Circuit{}
 	for _, c := range corners {
-		res, err := synth.Synthesize(ctx, g, c.ml, synth.Options{Scenario: sc, Seed: opt.Seed})
+		res, err := synth.Synthesize(ctx, g, c.Matches, synth.Options{Scenario: sc, Seed: opt.Seed})
 		if err != nil {
-			return nil, fmt.Errorf("synthesis at %g K: %w", c.tempK, err)
+			return nil, fmt.Errorf("synthesis at %g K: %w", c.TempK, err)
 		}
 		rec.AIGNodesOpt = res.NodesPower
 		rec.AIGDepthOpt = res.DepthOut
 		if err := signoffFunctional(ctx, g, res.Netlist, opt.Seed); err != nil {
-			return nil, fmt.Errorf("functional signoff at %g K: %w", c.tempK, err)
+			return nil, fmt.Errorf("functional signoff at %g K: %w", c.TempK, err)
 		}
-		timing, err := sta.Analyze(ctx, res.Netlist, c.lib, sta.Options{})
+		timing, err := sta.Analyze(ctx, res.Netlist, c.Lib, sta.Options{})
 		if err != nil {
-			return nil, fmt.Errorf("STA at %g K: %w", c.tempK, err)
+			return nil, fmt.Errorf("STA at %g K: %w", c.TempK, err)
 		}
-		rep, cells, err := power.AnalyzeFull(ctx, res.Netlist, c.lib, power.Options{
+		rep, cells, err := power.AnalyzeFull(ctx, res.Netlist, c.Lib, power.Options{
 			ClockPeriod: opt.ClockSec, Seed: opt.Seed,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("power at %g K: %w", c.tempK, err)
+			return nil, fmt.Errorf("power at %g K: %w", c.TempK, err)
 		}
 		corner := Corner{
-			TempK:       c.tempK,
+			TempK:       c.TempK,
 			Gates:       res.Netlist.NumGates(),
 			Area:        res.Netlist.Area(),
 			CriticalSec: timing.CriticalDelay,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/aig"
+	"repro/internal/gsim"
 	"repro/internal/liberty"
 	"repro/internal/mapper"
 	"repro/internal/obs"
@@ -127,32 +128,55 @@ func (c *Comparison) DelayOverhead(sc Scenario) float64 {
 
 // VerifyMapped checks that a synthesized netlist still realizes the source
 // AIG on bit-parallel random patterns (plus exhaustive patterns when the
-// input count allows); it returns an error on the first mismatch.
+// input count allows), simulating the netlist with gsim's levelized engine;
+// it returns an error on the first mismatch. Every AIG output must be a
+// netlist output of the same name.
 func VerifyMapped(g *aig.AIG, res *Result, rounds int, seed int64) error {
-	nl := res.Netlist
+	m, err := gsim.Compile(res.Netlist)
+	if err != nil {
+		return fmt.Errorf("synth: %w", err)
+	}
+	piIdx := make(map[string]int, g.NumPIs())
+	for i := 0; i < g.NumPIs(); i++ {
+		piIdx[g.PIName(i)] = i
+	}
+	// pi[j] is the AIG PI feeding model input j.
+	pi := make([]int, len(m.InputNames))
+	for j, name := range m.InputNames {
+		i, ok := piIdx[name]
+		if !ok {
+			return fmt.Errorf("synth: netlist input %s is not an AIG input", name)
+		}
+		pi[j] = i
+	}
+	outIdx := make(map[string]int, len(m.OutputNames))
+	for o, name := range m.OutputNames {
+		outIdx[name] = o
+	}
+	words := make([]uint64, g.NumPIs())
+	in := make([]uint64, len(pi))
 	for round := 0; round < rounds; round++ {
-		words := make([]uint64, g.NumPIs())
-		in := make(map[string]uint64, g.NumPIs())
 		rng := seededRng(seed + int64(round))
 		for i := range words {
 			words[i] = rng.Uint64()
 			if round == 0 && g.NumPIs() <= 6 {
 				words[i] = aig.Truth6Var(i)
 			}
-			in[g.PIName(i)] = words[i]
+		}
+		for j, i := range pi {
+			in[j] = words[i]
 		}
 		vals := g.SimWords(words)
-		netVals, err := nl.SimulateWords(in)
+		netVals, err := m.SimWords(in)
 		if err != nil {
-			return err
+			return fmt.Errorf("synth: %w", err)
 		}
 		for i := 0; i < g.NumPOs(); i++ {
-			want := aig.EvalLit(vals, g.PO(i))
-			got, ok := netVals[nl.Resolve(g.POName(i))]
+			o, ok := outIdx[g.POName(i)]
 			if !ok {
-				return fmt.Errorf("synth: output %s undriven", g.POName(i))
+				return fmt.Errorf("synth: output %s is not a netlist output", g.POName(i))
 			}
-			if got != want {
+			if netVals[m.Outputs[o]] != aig.EvalLit(vals, g.PO(i)) {
 				return fmt.Errorf("synth: output %s mismatches on round %d", g.POName(i), round)
 			}
 		}

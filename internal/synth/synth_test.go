@@ -2,6 +2,8 @@ package synth
 
 import (
 	"context"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/aig"
@@ -281,5 +283,82 @@ func TestSynthesizedNetlistsPassDRC(t *testing.T) {
 				t.Errorf("%s %v: mapped netlist DRC: %v", name, sc, issues)
 			}
 		}
+	}
+}
+
+// verifyFixture synthesizes int2float and returns the source AIG plus a
+// result whose netlist the caller may tamper with (Gates is a private copy).
+func verifyFixture(t *testing.T) (*aig.AIG, *Result) {
+	t.Helper()
+	ml, _ := buildML(t, 300)
+	g, err := epfl.Build("int2float")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Synthesize(context.Background(), g, ml, Options{Scenario: CryoPAD, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyMapped(g, res, 4, 5); err != nil {
+		t.Fatalf("untampered netlist rejected: %v", err)
+	}
+	nl := *res.Netlist
+	nl.Gates = slices.Clone(nl.Gates)
+	nl.Outputs = slices.Clone(nl.Outputs)
+	tampered := *res
+	tampered.Netlist = &nl
+	return g, &tampered
+}
+
+// TestVerifyMappedRejectsSwappedCell swaps the cell of a gate that drives a
+// primary output for a same-arity cell computing the complement, which
+// flips that output on every vector.
+func TestVerifyMappedRejectsSwappedCell(t *testing.T) {
+	g, res := verifyFixture(t)
+	nl := res.Netlist
+	complement := func(cell string) string {
+		def := nl.Cell(cell)
+		tt, _ := def.Truth(def.Outputs[0])
+		mask := uint64(1)<<(1<<len(def.Inputs)) - 1
+		for _, c := range catalog {
+			if nl.Cell(c.Name) == nil || len(c.Inputs) != len(def.Inputs) || len(c.Outputs) != 1 {
+				continue
+			}
+			if ct, ok := c.Truth(c.Outputs[0]); ok && ct == ^tt&mask {
+				return c.Name
+			}
+		}
+		return ""
+	}
+	for _, o := range nl.Outputs {
+		drv := nl.Resolve(o)
+		for i, gate := range nl.Gates {
+			if gate.Output != drv {
+				continue
+			}
+			if swap := complement(gate.Cell); swap != "" {
+				nl.Gates[i].Cell = swap
+				err := VerifyMapped(g, res, 4, 5)
+				if err == nil || !strings.Contains(err.Error(), "mismatches") {
+					t.Fatalf("gate %s swapped %s -> %s: VerifyMapped = %v, want a mismatch",
+						gate.Name, gate.Cell, swap, err)
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("no output-driving gate has a complement cell in the library")
+}
+
+// TestVerifyMappedRejectsMissingOutput drops one AIG output from the
+// netlist's port list.
+func TestVerifyMappedRejectsMissingOutput(t *testing.T) {
+	g, res := verifyFixture(t)
+	nl := res.Netlist
+	dropped := nl.Outputs[0]
+	nl.Outputs = nl.Outputs[1:]
+	err := VerifyMapped(g, res, 4, 5)
+	if err == nil || !strings.Contains(err.Error(), dropped) {
+		t.Fatalf("netlist without output %s: VerifyMapped = %v, want an error naming it", dropped, err)
 	}
 }
