@@ -88,7 +88,7 @@ func main() {
 		exitOn(sta.WritePathReport(os.Stdout, timing.TopPaths(*pathsK, period)))
 	}
 
-	rep, err := power.Analyze(ctx, nl, lib, power.Options{ClockPeriod: period})
+	rep, cells, err := power.AnalyzeFull(ctx, nl, lib, power.Options{ClockPeriod: period})
 	exitOn(err)
 	fmt.Printf("\npower @ %.3f GHz:\n", 1e-9/period)
 	fmt.Printf("  leakage   %12.4g W  (%7.4f%%)\n", rep.Leakage, rep.LeakageShare()*100)
@@ -97,8 +97,6 @@ func main() {
 	fmt.Printf("  total     %12.4g W\n", rep.Total())
 
 	if *topN > 0 {
-		cells, err := power.Attribute(ctx, nl, lib, power.Options{ClockPeriod: period})
-		exitOn(err)
 		fmt.Println("\ntop consumers:")
 		exitOn(power.WriteTopConsumers(os.Stdout, cells, *topN))
 	}

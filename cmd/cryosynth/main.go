@@ -37,7 +37,6 @@ import (
 	"repro/internal/mapper"
 	"repro/internal/obs"
 	"repro/internal/power"
-	"repro/internal/sta"
 	"repro/internal/synth"
 )
 
@@ -77,51 +76,89 @@ func main() {
 	defer root.End()
 
 	c10, c300 := loadCorners(ctx, *useTest, *cacheDir)
-	lib10, lib300, ml10, ml300 := c10.Lib, c300.Lib, c10.Matches, c300.Matches
+	runs := &flowRuns{seed: *seed, results: map[runKey]*flow.Result{}}
 
 	var verdicts []verifyRecord
 	if *verify {
-		ok, recs := runVerify(ctx, names, ml10, *seed)
+		ok, recs, err := runVerify(ctx, runs, names, c10)
 		verdicts = recs
-		if !ok {
+		if err == nil && !ok {
+			err = fmt.Errorf("verification FAILED (see table above)")
+		}
+		if err != nil {
 			// Still record the verdicts when a report was requested: the
 			// failing report is the artifact a CI triage wants.
 			if *report != "" {
-				if err := writeRunReport(ctx, *report, names, ml300, ml10, lib300, lib10, *seed, start, verdicts); err != nil {
+				if err := writeRunReport(ctx, runs, *report, names, c300, c10, start, verdicts); err != nil {
 					fmt.Fprintln(os.Stderr, "cryosynth: report:", err)
 				}
 			}
-			check(fmt.Errorf("verification FAILED (see table above)"))
+			check(err)
 		}
 	}
 	if *breakdown {
-		runBreakdown(ctx, names, ml300, ml10, lib300, lib10, *seed)
+		runBreakdown(ctx, runs, names, c300, c10)
 	}
 	if *fig3 {
-		runFig3(ctx, names, ml10, lib10, *seed)
+		runFig3(ctx, names, c10.Matches, c10.Lib, *seed)
 	}
 	if *top > 0 {
-		runTopConsumers(ctx, names, ml10, lib10, *seed, *top)
+		runTopConsumers(ctx, runs, names, c10, *top)
 	}
 	if *report != "" {
-		check(writeRunReport(ctx, *report, names, ml300, ml10, lib300, lib10, *seed, start, verdicts))
+		check(writeRunReport(ctx, runs, *report, names, c300, c10, start, verdicts))
 		fmt.Printf("run report written to %s\n", *report)
 	}
 	root.End()
 }
 
+// refClock is the reference clock of every signed-off table and the run
+// report (1 GHz).
+const refClock = 1e-9
+
+// runKey names one signed-off netlist.
+type runKey struct {
+	circuit  string
+	scenario synth.Scenario
+	tempK    float64
+}
+
+// flowRuns memoizes flow.Run per (circuit, scenario, corner): -verify,
+// -breakdown, -top and -report all sign off the same seeded synthesis at the
+// reference clock, so each netlist is synthesized once per process. The
+// modes only read the shared results.
+type flowRuns struct {
+	seed    int64
+	results map[runKey]*flow.Result
+}
+
+// run returns the signed-off run of the named benchmark under the scenario
+// at the corner, running the flow on first use.
+func (m *flowRuns) run(ctx context.Context, name string, sc synth.Scenario, c *flow.Corner) (*flow.Result, error) {
+	k := runKey{name, sc, c.TempK}
+	if r, ok := m.results[k]; ok {
+		return r, nil
+	}
+	g, err := epfl.Build(name)
+	if err != nil {
+		return nil, err
+	}
+	r, err := flow.Run(ctx, g, c, sc, m.seed, refClock)
+	if err != nil {
+		return nil, err
+	}
+	m.results[k] = r
+	return r, nil
+}
+
 // runTopConsumers prints the signoff-style per-instance power table for the
 // baseline synthesis of each circuit.
-func runTopConsumers(ctx context.Context, names []string, ml *mapper.MatchLibrary, lib *liberty.Library, seed int64, n int) {
+func runTopConsumers(ctx context.Context, runs *flowRuns, names []string, c *flow.Corner, n int) {
 	for _, name := range names {
-		g, err := epfl.Build(name)
-		check(err)
-		res, err := synth.Synthesize(ctx, g, ml, synth.Options{Scenario: synth.BaselinePowerAware, Seed: seed})
-		check(err)
-		cells, err := power.Attribute(ctx, res.Netlist, lib, power.Options{ClockPeriod: 1e-9, Seed: seed})
+		r, err := runs.run(ctx, name, synth.BaselinePowerAware, c)
 		check(err)
 		fmt.Printf("\n--- %s: top %d power consumers (1 GHz) ---\n", name, n)
-		check(power.WriteTopConsumers(os.Stdout, cells, n))
+		check(power.WriteTopConsumers(os.Stdout, r.Cells, n))
 	}
 }
 
@@ -204,8 +241,8 @@ type verifyRecord struct {
 // every scenario it proves pre-opt ≡ post-opt and post-opt ≡ mapped netlist
 // with the SAT-sweeping equivalence engine, printing one PASS/FAIL row per
 // (circuit, scenario) pair. Returns false if any check is not EQUAL, plus
-// the per-pair verdict records.
-func runVerify(ctx context.Context, names []string, ml *mapper.MatchLibrary, seed int64) (bool, []verifyRecord) {
+// the per-pair verdict records; a flow error stops the gate.
+func runVerify(ctx context.Context, runs *flowRuns, names []string, c *flow.Corner) (bool, []verifyRecord, error) {
 	fmt.Println("\n=== formal equivalence signoff (pre-opt ≡ post-opt ≡ mapped) ===")
 	fmt.Printf("%-12s %-10s %10s %12s | %s\n", "circuit", "scenario", "pre≡post", "post≡mapped", "result")
 	scenarios := []synth.Scenario{synth.BaselinePowerAware, synth.CryoPAD, synth.CryoPDA}
@@ -215,12 +252,18 @@ func runVerify(ctx context.Context, names []string, ml *mapper.MatchLibrary, see
 	defer task.Finish()
 	for _, name := range names {
 		g, err := epfl.Build(name)
-		check(err)
+		if err != nil {
+			return false, records, err
+		}
 		for _, sc := range scenarios {
-			res, err := synth.Synthesize(ctx, g, ml, synth.Options{Scenario: sc, Seed: seed})
-			check(err)
-			rep, err := synth.SignoffVerify(ctx, g, res, cec.Options{Seed: seed})
-			check(err)
+			r, err := runs.run(ctx, name, sc, c)
+			if err != nil {
+				return false, records, err
+			}
+			rep, err := synth.SignoffVerify(ctx, g, r.Synth, cec.Options{Seed: runs.seed})
+			if err != nil {
+				return false, records, err
+			}
 			task.Inc()
 			result := "PASS"
 			if !rep.OK() {
@@ -254,12 +297,12 @@ func runVerify(ctx context.Context, names []string, ml *mapper.MatchLibrary, see
 	if ok {
 		fmt.Println("signoff: all scenarios formally verified")
 	}
-	return ok, records
+	return ok, records, nil
 }
 
 // runBreakdown reproduces Fig 2(c): the average leakage/internal/switching
 // contribution at 300 K vs 10 K across the suite.
-func runBreakdown(ctx context.Context, names []string, ml300, ml10 *mapper.MatchLibrary, lib300, lib10 *liberty.Library, seed int64) {
+func runBreakdown(ctx context.Context, runs *flowRuns, names []string, c300, c10 *flow.Corner) {
 	fmt.Println("\n=== Fig 2(c) — power breakdown: 300 K vs 10 K ===")
 	type acc struct{ leak, internal, sw float64 }
 	var a300, a10 acc
@@ -267,22 +310,14 @@ func runBreakdown(ctx context.Context, names []string, ml300, ml10 *mapper.Match
 	task := obs.Progress("synth.breakdown", int64(len(names)))
 	defer task.Finish()
 	for _, name := range names {
-		g, err := epfl.Build(name)
-		check(err)
 		task.Inc()
 		for _, corner := range []struct {
-			ml  *mapper.MatchLibrary
-			lib *liberty.Library
+			c   *flow.Corner
 			acc *acc
-		}{{ml300, lib300, &a300}, {ml10, lib10, &a10}} {
-			res, err := synth.Synthesize(ctx, g, corner.ml, synth.Options{
-				Scenario: synth.BaselinePowerAware, Seed: seed,
-			})
+		}{{c300, &a300}, {c10, &a10}} {
+			r, err := runs.run(ctx, name, synth.BaselinePowerAware, corner.c)
 			check(err)
-			rep, err := power.Analyze(ctx, res.Netlist, corner.lib, power.Options{
-				ClockPeriod: 1e-9, Seed: seed,
-			})
-			check(err)
+			rep := r.Power
 			t := rep.Total()
 			corner.acc.leak += rep.Leakage / t
 			corner.acc.internal += rep.Internal / t
@@ -335,45 +370,30 @@ type runReport struct {
 	Verify []verifyRecord `json:"verify,omitempty"`
 }
 
-// writeRunReport synthesizes each circuit under the baseline scenario at
-// both temperature corners and emits the flow-level JSON report: per-stage
-// wall time (from the span tracer), peak AIG size, mapper cost, and worst
-// negative slack at 300 K and 10 K.
-func writeRunReport(ctx context.Context, path string, names []string,
-	ml300, ml10 *mapper.MatchLibrary, lib300, lib10 *liberty.Library, seed int64, start time.Time,
-	verdicts []verifyRecord) error {
-	const clock = 1e-9
-	rep := runReport{Tool: "cryosynth", ClockSec: clock, Seed: seed, Verify: verdicts}
+// writeRunReport emits the flow-level JSON report of each circuit's
+// baseline run at both temperature corners: per-stage wall time (from the
+// span tracer), peak AIG size, mapper cost, and worst negative slack at
+// 300 K and 10 K.
+func writeRunReport(ctx context.Context, runs *flowRuns, path string, names []string,
+	c300, c10 *flow.Corner, start time.Time, verdicts []verifyRecord) error {
+	rep := runReport{Tool: "cryosynth", ClockSec: refClock, Seed: runs.seed, Verify: verdicts}
 	for _, name := range names {
-		g, err := epfl.Build(name)
-		if err != nil {
-			return err
-		}
 		cr := circuitReport{Circuit: name}
-		for _, corner := range []struct {
-			temp float64
-			ml   *mapper.MatchLibrary
-			lib  *liberty.Library
-		}{{300, ml300, lib300}, {10, ml10, lib10}} {
-			res, err := synth.Synthesize(ctx, g, corner.ml, synth.Options{
-				Scenario: synth.BaselinePowerAware, Seed: seed,
-			})
+		for _, c := range []*flow.Corner{c300, c10} {
+			r, err := runs.run(ctx, name, synth.BaselinePowerAware, c)
 			if err != nil {
-				return fmt.Errorf("report: %s at %gK: %w", name, corner.temp, err)
+				return fmt.Errorf("report: %w", err)
 			}
+			res := r.Synth
 			cr.NodesIn, cr.NodesC2RS, cr.NodesPower = res.NodesIn, res.NodesC2RS, res.NodesPower
 			cr.PeakAIGNodes = max3(res.NodesIn, res.NodesC2RS, res.NodesPower)
-			tr, err := sta.Analyze(ctx, res.Netlist, corner.lib, sta.Options{})
-			if err != nil {
-				return fmt.Errorf("report: %s STA at %gK: %w", name, corner.temp, err)
-			}
 			cr.Corners = append(cr.Corners, cornerReport{
-				TempK:       corner.temp,
+				TempK:       c.TempK,
 				Gates:       res.Netlist.NumGates(),
 				Area:        res.Netlist.Area(),
 				MapperCost:  res.Netlist.Area(),
-				CriticalSec: tr.CriticalDelay,
-				WNSSec:      tr.WorstSlack(clock),
+				CriticalSec: r.Timing.CriticalDelay,
+				WNSSec:      r.Timing.WorstSlack(refClock),
 			})
 		}
 		rep.Circuits = append(rep.Circuits, cr)

@@ -51,15 +51,13 @@ func main() {
 		period*1e12, timing.WorstSlack(period)*1e12)
 	printSlackHistogram(slacks, period)
 
-	rep, err := power.Analyze(ctx, nl, lib, power.Options{ClockPeriod: period, Seed: 11})
+	rep, cells, err := power.AnalyzeFull(ctx, nl, lib, power.Options{ClockPeriod: period, Seed: 11})
 	exitOn(err)
 	fmt.Printf("\npower at %.2f ps clock: total %.3f uW\n", period*1e12, rep.Total()*1e6)
 	fmt.Printf("  leakage   %10.4g W (%6.3f%%)\n", rep.Leakage, rep.LeakageShare()*100)
 	fmt.Printf("  internal  %10.4g W (%6.3f%%)\n", rep.Internal, rep.Internal/rep.Total()*100)
 	fmt.Printf("  switching %10.4g W (%6.3f%%)\n", rep.Switching, rep.Switching/rep.Total()*100)
 
-	cells, err := power.Attribute(ctx, nl, lib, power.Options{ClockPeriod: period, Seed: 11})
-	exitOn(err)
 	fmt.Println("\ntop power consumers:")
 	exitOn(power.WriteTopConsumers(os.Stdout, cells, 5))
 }

@@ -29,9 +29,7 @@ func main() {
 
 	corner, err := flow.LoadCorner(ctx, 10, flow.Source{Testlib: true})
 	exitOn(err)
-	lib, ml := corner.Lib, corner.Matches
-
-	cmp, err := synth.Compare(ctx, g, ml, lib, synth.FlowOptions{Seed: 42})
+	cmp, err := synth.Compare(ctx, g, corner.Matches, corner.Lib, synth.FlowOptions{Seed: 42})
 	exitOn(err)
 
 	fmt.Printf("\nshared clock period (slowest variant + guard band): %.2f ps\n", cmp.ClockPeriod*1e12)
@@ -47,17 +45,14 @@ func main() {
 	fmt.Printf("delay overhead vs baseline: p->a->d %+.2f%%   p->d->a %+.2f%%\n",
 		cmp.DelayOverhead(synth.CryoPAD)*100, cmp.DelayOverhead(synth.CryoPDA)*100)
 
-	// Functional safety net: every variant must still realize the circuit.
+	// Functional safety net: the flow driver checks every variant's mapped
+	// netlist against the source AIG and fails on a mismatch.
 	for _, sc := range []synth.Scenario{synth.BaselinePowerAware, synth.CryoPAD, synth.CryoPDA} {
-		res, err := synth.Synthesize(ctx, g, ml, synth.Options{Scenario: sc, Seed: 42})
+		r, err := flow.Run(ctx, g, corner, sc, 42, cmp.ClockPeriod)
 		exitOn(err)
-		if err := synth.VerifyMapped(g, res, 4, 7); err != nil {
-			fmt.Fprintf(os.Stderr, "scenario %v: VERIFICATION FAILED: %v\n", sc, err)
-			os.Exit(1)
-		}
 		if sc == synth.CryoPAD && *verilog {
 			fmt.Println("\nmapped netlist (p->a->d):")
-			exitOn(res.Netlist.WriteVerilog(os.Stdout))
+			exitOn(r.Synth.Netlist.WriteVerilog(os.Stdout))
 		}
 	}
 	fmt.Println("\nall three mapped netlists verified against the source AIG.")

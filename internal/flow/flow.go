@@ -1,9 +1,12 @@
-// Package flow turns a temperature into a technology corner of the
-// cryogenic design flow: the characterized liberty library, the PDK cells
-// it covers, and the cut-matching index the technology mapper consumes.
-// It is the one place that chooses between the synthetic closed-form
-// library and cached SPICE characterization; the commands, examples and
-// the QoR harness all load their corners through LoadCorner.
+// Package flow drives the cryogenic design flow from a temperature to a
+// signed-off netlist. LoadCorner turns a temperature into a technology
+// corner: the characterized liberty library, the PDK cells it covers, and
+// the cut-matching index the technology mapper consumes. It is the one place
+// that chooses between the synthetic closed-form library and cached SPICE
+// characterization. Run takes one circuit through one synthesis scenario at
+// a corner: synthesis, a functional check of the mapped netlist, STA and
+// power. The commands, examples and the QoR harness load their corners and
+// run their scenarios through these two.
 package flow
 
 import (

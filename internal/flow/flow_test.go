@@ -11,6 +11,8 @@ import (
 	"repro/internal/epfl"
 	"repro/internal/liberty"
 	"repro/internal/pdk"
+	"repro/internal/power"
+	"repro/internal/sta"
 	"repro/internal/synth"
 	"repro/internal/testlib"
 )
@@ -41,6 +43,62 @@ func TestSyntheticFlowEndToEnd(t *testing.T) {
 		m := cmp.Metrics[sc]
 		if m.Gates == 0 || m.Power == nil || m.Power.Total() <= 0 {
 			t.Errorf("%v: incomplete metrics %+v", sc, m)
+		}
+	}
+}
+
+// TestRunMatchesStageCalls checks the driver against the hand-written stage
+// sequence it replaces: Synthesize, sta.Analyze and power.AnalyzeFull called
+// one by one must give a bit-identical netlist size, critical delay, power
+// split and per-instance power.
+func TestRunMatchesStageCalls(t *testing.T) {
+	ctx := context.Background()
+	c, err := LoadCorner(ctx, 10, Source{Testlib: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed, clock = 1, 1e-9
+	for _, name := range []string{"ctrl", "int2float"} {
+		g, err := epfl.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range []synth.Scenario{synth.BaselinePowerAware, synth.CryoPAD, synth.CryoPDA} {
+			got, err := Run(ctx, g, c, sc, seed, clock)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, sc, err)
+			}
+			res, err := synth.Synthesize(ctx, g, c.Matches, synth.Options{Scenario: sc, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			timing, err := sta.Analyze(ctx, res.Netlist, c.Lib, sta.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, cells, err := power.AnalyzeFull(ctx, res.Netlist, c.Lib, power.Options{ClockPeriod: clock, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nl := got.Synth.Netlist
+			if nl.NumGates() != res.Netlist.NumGates() || nl.Area() != res.Netlist.Area() {
+				t.Errorf("%s %v: netlist %d gates / area %v, stage calls %d / %v",
+					name, sc, nl.NumGates(), nl.Area(), res.Netlist.NumGates(), res.Netlist.Area())
+			}
+			if got.Timing.CriticalDelay != timing.CriticalDelay {
+				t.Errorf("%s %v: critical delay %v, stage calls %v", name, sc, got.Timing.CriticalDelay, timing.CriticalDelay)
+			}
+			if *got.Power != *rep {
+				t.Errorf("%s %v: power %+v, stage calls %+v", name, sc, *got.Power, *rep)
+			}
+			if len(got.Cells) != len(cells) {
+				t.Fatalf("%s %v: %d instance rows, stage calls %d", name, sc, len(got.Cells), len(cells))
+			}
+			for i := range cells {
+				if got.Cells[i] != cells[i] {
+					t.Errorf("%s %v: instance row %d %+v, stage calls %+v", name, sc, i, got.Cells[i], cells[i])
+				}
+			}
 		}
 	}
 }

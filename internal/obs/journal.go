@@ -49,10 +49,6 @@ const (
 	KindWarning    = "warning"
 	KindFailure    = "failure"
 	KindArtifact   = "artifact"
-	// KindSignoff records a functional signoff check: an independent
-	// re-verification (e.g. gate-level simulation cross-checked against AIG
-	// simulation) passing or failing on a flow result.
-	KindSignoff = "signoff"
 	// KindAttribution carries a QoR attribution report (internal/explain)
 	// as its structured detail payload.
 	KindAttribution = "attribution"

@@ -60,11 +60,13 @@ func Analyze(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library, opt
 	return rep, err
 }
 
-// AnalyzeFull computes the power totals and the per-instance attribution in
-// one STA + activity pass. The Report sums are accumulated in the same
-// deterministic order as ever (gates for leakage/internal, sorted nets for
-// switching), so totals are bit-identical whichever entry point is used —
-// the QoR regression gate compares them exactly.
+// AnalyzeFull computes the power totals and the per-instance attribution
+// (the "report_power -cell" view of a signoff tool) in one STA + activity
+// pass. The per-instance rows sum to the Report's totals except for
+// primary-input net switching, which has no owning gate. The Report sums are
+// accumulated in a deterministic order (gates for leakage/internal, sorted
+// nets for switching), so totals are bit-identical whichever entry point is
+// used — the QoR regression gate compares them exactly.
 func AnalyzeFull(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library, opt Options) (*Report, []CellPower, error) {
 	ctx, span := obs.Start(ctx, "power.analyze")
 	span.SetAttr("design", nl.Name)

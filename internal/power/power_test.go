@@ -106,11 +106,7 @@ func TestAttributeSumsToReport(t *testing.T) {
 	lib, used := testlib.Build(catalog, testlib.Names(), 300)
 	nl := demoNetlist(used)
 	opt := Options{ClockPeriod: 1e-9, Seed: 4}
-	rep, err := Analyze(context.Background(), nl, lib, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, err := Attribute(context.Background(), nl, lib, opt)
+	rep, cells, err := AnalyzeFull(context.Background(), nl, lib, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +166,7 @@ func TestGroupByCell(t *testing.T) {
 
 func TestWriteTopConsumers(t *testing.T) {
 	lib, used := testlib.Build(catalog, testlib.Names(), 300)
-	cells, err := Attribute(context.Background(), demoNetlist(used), lib, Options{ClockPeriod: 1e-9})
+	_, cells, err := AnalyzeFull(context.Background(), demoNetlist(used), lib, Options{ClockPeriod: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}

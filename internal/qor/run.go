@@ -31,10 +31,6 @@ type RunOptions struct {
 	// SPICE-characterized (0 = GOMAXPROCS). Does not affect the QoR metrics
 	// or the cache key — only wall-clock.
 	Workers int
-	// TopPaths is the number of critical endpoint paths recorded per
-	// (circuit, corner) for attribution (0 = DefaultTopPaths; negative
-	// disables path provenance).
-	TopPaths int
 	// CreatedAt stamps the baseline (left empty for golden-stable output).
 	CreatedAt string
 	// Progress, when non-nil, receives human-readable progress lines.
@@ -193,54 +189,35 @@ func loadCorners(ctx context.Context, opt RunOptions) ([]*flow.Corner, error) {
 	return out, nil
 }
 
-// DefaultTopPaths is the per-corner critical-path record count when
-// RunOptions.TopPaths is zero.
+// DefaultTopPaths is the number of critical endpoint paths recorded per
+// (circuit, corner) for attribution.
 const DefaultTopPaths = 3
 
-// runOnce runs the full flow for one (circuit, scenario) repetition across
-// all corners and returns the QoR record.
+// runOnce runs the flow for one (circuit, scenario) repetition across all
+// corners and returns the QoR record.
 func runOnce(ctx context.Context, g *aig.AIG, sc synth.Scenario, corners []*flow.Corner, opt RunOptions) (*Circuit, error) {
-	topK := opt.TopPaths
-	if topK == 0 {
-		topK = DefaultTopPaths
-	}
 	rec := &Circuit{}
 	for _, c := range corners {
-		res, err := synth.Synthesize(ctx, g, c.Matches, synth.Options{Scenario: sc, Seed: opt.Seed})
+		r, err := flow.Run(ctx, g, c, sc, opt.Seed, opt.ClockSec)
 		if err != nil {
-			return nil, fmt.Errorf("synthesis at %g K: %w", c.TempK, err)
+			return nil, err
 		}
-		rec.AIGNodesOpt = res.NodesPower
-		rec.AIGDepthOpt = res.DepthOut
-		if err := signoffFunctional(ctx, g, res.Netlist, opt.Seed); err != nil {
-			return nil, fmt.Errorf("functional signoff at %g K: %w", c.TempK, err)
-		}
-		timing, err := sta.Analyze(ctx, res.Netlist, c.Lib, sta.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("STA at %g K: %w", c.TempK, err)
-		}
-		rep, cells, err := power.AnalyzeFull(ctx, res.Netlist, c.Lib, power.Options{
-			ClockPeriod: opt.ClockSec, Seed: opt.Seed,
+		nl, timing, rep := r.Synth.Netlist, r.Timing, r.Power
+		rec.AIGNodesOpt = r.Synth.NodesPower
+		rec.AIGDepthOpt = r.Synth.DepthOut
+		rec.Corners = append(rec.Corners, Corner{
+			TempK:        c.TempK,
+			Gates:        nl.NumGates(),
+			Area:         nl.Area(),
+			CriticalSec:  timing.CriticalDelay,
+			WNSSec:       timing.WorstSlack(opt.ClockSec),
+			TNSSec:       endpointTNS(timing, nl, opt.ClockSec),
+			LeakageW:     rep.Leakage,
+			DynamicW:     rep.Internal + rep.Switching,
+			TotalW:       rep.Total(),
+			Paths:        toPathRecords(timing.TopPaths(DefaultTopPaths, opt.ClockSec)),
+			PowerByClass: toClassPower(power.GroupByCell(r.Cells), rep),
 		})
-		if err != nil {
-			return nil, fmt.Errorf("power at %g K: %w", c.TempK, err)
-		}
-		corner := Corner{
-			TempK:       c.TempK,
-			Gates:       res.Netlist.NumGates(),
-			Area:        res.Netlist.Area(),
-			CriticalSec: timing.CriticalDelay,
-			WNSSec:      timing.WorstSlack(opt.ClockSec),
-			TNSSec:      endpointTNS(timing, res.Netlist, opt.ClockSec),
-			LeakageW:    rep.Leakage,
-			DynamicW:    rep.Internal + rep.Switching,
-			TotalW:      rep.Total(),
-		}
-		if topK > 0 {
-			corner.Paths = toPathRecords(timing.TopPaths(topK, opt.ClockSec))
-			corner.PowerByClass = toClassPower(power.GroupByCell(cells), rep)
-		}
-		rec.Corners = append(rec.Corners, corner)
 	}
 	return rec, nil
 }

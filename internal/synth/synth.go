@@ -18,11 +18,9 @@ import (
 	"fmt"
 
 	"repro/internal/aig"
-	"repro/internal/liberty"
 	"repro/internal/mapper"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/sta"
 )
 
 // Scenario selects the synthesis cost hierarchy.
@@ -76,14 +74,6 @@ type Options struct {
 	SkipMfs bool
 	// SkipChoices disables the structural-choice variants (ablation).
 	SkipChoices bool
-	// SkipSizing disables the post-mapping drive-strength assignment
-	// (ablation). Sizing only runs for the cryogenic-aware scenarios: the
-	// baseline keeps the mapper's drive choices, mirroring how the paper's
-	// baseline does not get the cryogenic cost functions.
-	SkipSizing bool
-	// Lib provides the characterized library for the sizing/STA stage; when
-	// nil, sizing is skipped.
-	Lib *liberty.Library
 }
 
 // Result carries the synthesis outcome with per-stage statistics.
@@ -145,19 +135,6 @@ func Synthesize(ctx context.Context, g *aig.AIG, ml *mapper.MatchLibrary, opt Op
 		return nil, fmt.Errorf("synth: mapping: %w", err)
 	}
 	res.Netlist = nl
-
-	// Stage 4: drive-strength assignment (cryogenic-aware scenarios only).
-	// The delay budget follows the priority list: p->d->a protects delay;
-	// p->a->d lets delay float in exchange for power/area.
-	if opt.Lib != nil && !opt.SkipSizing && opt.Scenario != BaselinePowerAware {
-		budget := 1.03
-		if opt.Scenario == CryoPAD {
-			budget = 1.35
-		}
-		if _, err := ResizeForPower(ctx, nl, opt.Lib, sta.Options{}, budget); err != nil {
-			return nil, fmt.Errorf("synth: sizing: %w", err)
-		}
-	}
 	return res, nil
 }
 

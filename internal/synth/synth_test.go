@@ -10,7 +10,6 @@ import (
 	"repro/internal/epfl"
 	"repro/internal/mapper"
 	"repro/internal/pdk"
-	"repro/internal/sta"
 	"repro/internal/testlib"
 )
 
@@ -173,97 +172,6 @@ func TestAblationFlags(t *testing.T) {
 		if err := VerifyMapped(g, r, 4, 9); err != nil {
 			t.Fatalf("ablation variant broke function: %v", err)
 		}
-	}
-}
-
-func TestResizeForPower(t *testing.T) {
-	ml, _ := buildML(t, 10)
-	lib, _ := testlib.Build(catalog, testlib.Names(), 10)
-	g, err := epfl.Build("int2float")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Synthesize(context.Background(), g, ml, Options{Scenario: CryoPAD, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := ResizeForPower(context.Background(), res.Netlist, lib, staOptions(), 1.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Delay must respect the budget.
-	if rr.DelayAfter > rr.DelayBefore*1.3*1.001 {
-		t.Errorf("sizing violated the delay budget: %v -> %v", rr.DelayBefore, rr.DelayAfter)
-	}
-	// The resized netlist must still be functionally correct.
-	if err := VerifyMapped(g, res, 4, 3); err != nil {
-		t.Fatalf("sizing broke the netlist: %v", err)
-	}
-}
-
-func TestSizingScenarioIntegration(t *testing.T) {
-	ml, _ := buildML(t, 10)
-	lib, _ := testlib.Build(catalog, testlib.Names(), 10)
-	g, err := epfl.Build("router")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With the library provided, sizing runs for cryo scenarios; every
-	// variant must still verify.
-	for _, sc := range []Scenario{BaselinePowerAware, CryoPAD, CryoPDA} {
-		res, err := Synthesize(context.Background(), g, ml, Options{Scenario: sc, Seed: 4, Lib: lib})
-		if err != nil {
-			t.Fatalf("%v: %v", sc, err)
-		}
-		if err := VerifyMapped(g, res, 4, 5); err != nil {
-			t.Fatalf("%v: sized netlist wrong: %v", sc, err)
-		}
-	}
-	// Ablation flag must disable it without breaking anything.
-	if _, err := Synthesize(context.Background(), g, ml, Options{Scenario: CryoPAD, Seed: 4, Lib: lib, SkipSizing: true}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func staOptions() sta.Options { return sta.Options{} }
-
-func TestNextDrive(t *testing.T) {
-	ml, _ := buildML(t, 300)
-	g, err := epfl.Build("ctrl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Synthesize(context.Background(), g, ml, Options{Scenario: BaselinePowerAware, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fams := driveFamilies(res.Netlist)
-	if len(fams) == 0 {
-		t.Fatal("no drive families discovered")
-	}
-	// Walking up then down returns to the start; the ends terminate.
-	for base, fam := range fams {
-		if len(fam) < 2 {
-			continue
-		}
-		first := fam[0].Name
-		up := nextDrive(fams, first, +1)
-		if up == "" {
-			t.Fatalf("%s: no upsize from smallest", base)
-		}
-		if back := nextDrive(fams, up, -1); back != first {
-			t.Fatalf("%s: up+down != identity (%s -> %s -> %s)", base, first, up, back)
-		}
-		if nextDrive(fams, first, -1) != "" {
-			t.Fatalf("%s: downsize below smallest should fail", base)
-		}
-		last := fam[len(fam)-1].Name
-		if nextDrive(fams, last, +1) != "" {
-			t.Fatalf("%s: upsize above largest should fail", base)
-		}
-	}
-	if nextDrive(fams, "NOPEx1", 1) != "" {
-		t.Error("unknown cell should have no drive neighbors")
 	}
 }
 
